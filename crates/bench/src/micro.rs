@@ -390,9 +390,9 @@ pub fn bench_components(seed: u64) -> String {
     }
 
     {
-        use pscp_client::rtmp_session;
-        use pscp_client::session::SessionConfig;
+        use pscp_client::session::{self, SessionConfig};
         use pscp_media::audio::AudioBitrate;
+        use pscp_service::select::Protocol;
         use pscp_simnet::GeoPoint;
         use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
         let broadcast = Broadcast {
@@ -414,7 +414,8 @@ pub fn bench_components(seed: u64) -> String {
         // Nominal throughput denominator: the capture size of one
         // representative run (per-seed variation is ~1%, fine for a MB/s
         // indicator).
-        let nominal_bytes = rtmp_session::run(
+        let nominal_bytes = session::run(
+            Protocol::Rtmp,
             &broadcast,
             SimTime::from_secs(400),
             &SessionConfig::default(),
@@ -426,17 +427,23 @@ pub fn bench_components(seed: u64) -> String {
         suite.run("session/rtmp 60s end-to-end", Some(nominal_bytes), || {
             i += 1;
             let rngs = RngFactory::new(i).child("bench-session");
-            rtmp_session::run(&broadcast, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
-                .capture
-                .total_bytes() as u64
+            session::run(
+                Protocol::Rtmp,
+                &broadcast,
+                SimTime::from_secs(400),
+                &SessionConfig::default(),
+                &rngs,
+            )
+            .capture
+            .total_bytes() as u64
         });
 
         // The SRT twin of the RTMP bench (DESIGN.md §12): same broadcast,
         // same seeds (common random numbers), so the per-iteration delta
         // between the two benches is the transport machinery itself —
         // handshake, per-packet datagram accounting, ARQ bookkeeping.
-        use pscp_client::srt_session;
-        let srt_nominal_bytes = srt_session::run(
+        let srt_nominal_bytes = session::run(
+            Protocol::Srt,
             &broadcast,
             SimTime::from_secs(400),
             &SessionConfig::default(),
@@ -448,9 +455,15 @@ pub fn bench_components(seed: u64) -> String {
         suite.run("session/srt 60s end-to-end", Some(srt_nominal_bytes), || {
             j += 1;
             let rngs = RngFactory::new(j).child("bench-session");
-            srt_session::run(&broadcast, SimTime::from_secs(400), &SessionConfig::default(), &rngs)
-                .capture
-                .total_bytes() as u64
+            session::run(
+                Protocol::Srt,
+                &broadcast,
+                SimTime::from_secs(400),
+                &SessionConfig::default(),
+                &rngs,
+            )
+            .capture
+            .total_bytes() as u64
         });
     }
 

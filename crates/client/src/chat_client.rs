@@ -11,20 +11,44 @@
 //! heavy chat genuinely crowds out video — the paper's explanation for the
 //! 2 Mbps QoE boundary.
 
-use crate::session::SessionConfig;
+use crate::session::{SessionConfig, Viewing};
 use pscp_media::capture::{Capture, FlowKind};
 use pscp_proto::http::Response;
 use pscp_proto::ws::Frame;
 use pscp_service::chat::{ChatConfig, ChatRoom};
-use pscp_simnet::fault::in_windows;
+use pscp_simnet::fault::{self, in_windows};
 use pscp_simnet::link::MTU_BYTES;
 use pscp_simnet::rng::CounterRng;
 use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
 use pscp_workload::broadcast::Broadcast;
 
 /// Gap an injected WebSocket chat drop leaves before the client's
-/// reconnect completes (DESIGN.md §8). Shared by the RTMP and HLS paths.
-pub(crate) const CHAT_RECONNECT_GAP: SimDuration = SimDuration::from_secs(6);
+/// reconnect completes (DESIGN.md §8).
+const CHAT_RECONNECT_GAP: SimDuration = SimDuration::from_secs(6);
+
+/// The injected WebSocket chat-drop windows of one session's watch
+/// (DESIGN.md §8), drawn from the `label` stream and counted as faults
+/// with their reconnects. Empty, with no variate drawn, when chat drops
+/// are off. RTMP and HLS apply them; SRT does not.
+pub(crate) fn drop_windows(
+    v: &Viewing<'_>,
+    fault_seed: u64,
+    label: &str,
+    trace: &mut pscp_obs::Trace,
+) -> Vec<(SimTime, SimTime)> {
+    let rate = v.config.faults.chat_drop_per_min;
+    let windows = if rate > 0.0 {
+        let to = v.join_at + v.config.watch;
+        fault::drop_windows(fault_seed, label, v.join_at, to, rate, CHAT_RECONNECT_GAP)
+    } else {
+        Vec::new()
+    };
+    if !windows.is_empty() {
+        trace.count("fault", "chat_drops", windows.len() as u64);
+        trace.count("recovery", "chat_reconnects", windows.len() as u64);
+    }
+    windows
+}
 
 /// One chat-related downstream transmission.
 #[derive(Debug, Clone)]
@@ -81,28 +105,12 @@ pub fn events(
     out
 }
 
-/// Legacy path used by sessions whose chat travels on a dedicated link
-/// (the HLS fetch path models its video transfer in closed form): plays
-/// the [`events`] through `link` and records them into `capture`.
+/// Plays the [`events`] through a dedicated `link` and records them into
+/// `capture` — the path of sessions whose video transfer is modelled in
+/// closed form (HLS). Sends inside a `drop_windows` window (DESIGN.md §8)
+/// are lost with the dropped WebSocket and never reach the wire.
 #[allow(clippy::too_many_arguments)]
 pub fn generate(
-    broadcast: &Broadcast,
-    from: SimTime,
-    to: SimTime,
-    config: &SessionConfig,
-    link: &mut Link,
-    capture_clock: &WallClock,
-    capture: &mut Capture,
-    rng: &mut CounterRng,
-) {
-    generate_with_faults(broadcast, from, to, config, link, capture_clock, capture, rng, &[]);
-}
-
-/// [`generate`] with injected chat-drop windows (DESIGN.md §8): sends that
-/// fall inside a window are lost with the dropped WebSocket and never reach
-/// the wire. With no windows this is exactly [`generate`].
-#[allow(clippy::too_many_arguments)]
-pub fn generate_with_faults(
     broadcast: &Broadcast,
     from: SimTime,
     to: SimTime,
@@ -186,6 +194,7 @@ mod tests {
             &clock,
             &mut capture,
             &mut rng,
+            &[],
         );
         capture
     }

@@ -1,4 +1,5 @@
-//! End-to-end HLS viewing session.
+//! HLS transport: connect and deliver stages of the session pipeline
+//! ([`session`](crate::session)).
 //!
 //! The §5.1 fallback path: the broadcast still reaches an ingest server
 //! over the broadcaster's uplink, but is then transcoded/repackaged into
@@ -9,113 +10,77 @@
 //! rarer than RTMP (Fig 3 discussion).
 
 use crate::chat_client;
-use crate::player::{run_playback, MediaArrival};
+use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
-use crate::rtmp_session::rendered_fps;
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::uplink::Uplink;
-use pscp_media::audio::AudioEncoder;
+use crate::session::{record_link_faults, Ctx, Delivered, IngestFrame, Media, Viewing};
 use pscp_media::capture::{Capture, FlowKind};
-use pscp_media::content::ContentProcess;
-use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_media::ts::segment_video_frames;
 use pscp_proto::http::Response;
-use pscp_service::cdn;
-use pscp_service::ingest::assign_server;
+use pscp_service::cdn::{self, CdnPop};
 use pscp_service::segmenter::{Segmenter, SegmenterConfig};
-use pscp_service::select::Protocol;
-use pscp_simnet::fault::{self, FaultRng, LinkFaults};
+use pscp_simnet::fault::{FaultRng, LinkFaults};
 use pscp_simnet::tcp::{TcpModel, INIT_CWND_SEGMENTS};
-use pscp_simnet::{Link, RngFactory, SimDuration, SimTime, WallClock};
-use pscp_workload::broadcast::Broadcast;
+use pscp_simnet::{Link, SimDuration, SimTime, WallClock};
+use std::collections::HashMap;
 
-/// Encode-side latency on the broadcaster phone.
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
-/// History simulated before the join so the playlist is warm.
-const WARMUP: SimDuration = SimDuration::from_secs(25);
 /// Playlist poll interval while waiting for the next segment.
 const POLL: SimDuration = SimDuration::from_millis(1500);
 /// How many segments behind the live edge playback starts.
 const EDGE_OFFSET: u64 = 2;
 
-/// Runs one HLS session.
-pub fn run(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-) -> SessionOutcome {
-    run_traced(broadcast, join_at, config, rngs, &mut pscp_obs::Trace::disabled())
+/// The CDN POP serving this viewer (HLS has no handshake of its own) and
+/// the packaging path feeding it.
+pub(crate) struct Connected {
+    pop: CdnPop,
+    rtt: SimDuration,
+    segmenter: Segmenter,
+    /// pts → broadcaster capture wall, for latency anchors.
+    capture_wall_by_pts: HashMap<u32, f64>,
 }
 
-/// [`run`] plus per-session instrumentation into `trace` (no-ops when the
-/// trace is disabled; the simulation itself is identical either way —
-/// tracing draws no randomness and moves no timestamps).
-pub fn run_traced(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-    trace: &mut pscp_obs::Trace,
-) -> SessionOutcome {
-    let mut enc_rng = rngs.stream("hls/encoder");
-    let mut net_rng = rngs.stream("hls/net");
-    let mut clock_rng = rngs.stream("hls/clocks");
-
-    let broadcaster_clock = WallClock::ntp_synced(&mut clock_rng);
-    let capture_clock = WallClock::ntp_synced(&mut clock_rng);
-
-    let ingest = assign_server(&broadcast.location, broadcast.id.0);
-    let prop_up = broadcast.location.propagation_to(&ingest.location());
+/// Picks the viewer's POP for the minute of the join.
+pub(crate) fn connect(v: &Viewing<'_>) -> Connected {
     let pop = cdn::pop_for_session(
-        &config.network.location,
-        broadcast.id.0 ^ (join_at.as_micros() / 60_000_000),
+        &v.config.network.location,
+        v.broadcast.id.0 ^ (v.join_at.as_micros() / 60_000_000),
     );
-    let rtt = config.network.rtt_to(&pop.location());
-    crate::session::trace_session_start(
-        trace,
-        "hls",
-        broadcast.id,
-        broadcast.viewers_at(join_at),
-        join_at.as_micros(),
-        config,
-    );
-
-    // --- broadcaster → ingest → segmenter ---
-    let enc_cfg = EncoderConfig {
-        fps: broadcast.device.fps(),
-        gop: broadcast.device.gop(),
-        target_bitrate_bps: broadcast.target_bitrate_bps,
-        ..Default::default()
-    };
-    let fps = enc_cfg.fps;
-    let content = ContentProcess::new(broadcast.content, &mut enc_rng);
-    let mut encoder = Encoder::new(enc_cfg, content);
-    let mut audio = AudioEncoder::new(broadcast.audio);
-    let sim_start = join_at - WARMUP;
-    let end = join_at + config.watch + SimDuration::from_secs(3);
-    let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-    let mut segmenter = Segmenter::new(SegmenterConfig::default());
-    // pts → broadcaster capture wall, for latency anchors.
-    let mut capture_wall_by_pts: std::collections::HashMap<u32, f64> =
-        std::collections::HashMap::new();
-    let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
-    let mut next_audio_pts = 0.0;
-    for i in 0..total_frames {
-        let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_frame(wall, &mut enc_rng) {
-            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.bytes.len());
-            let a_in = sent + prop_up;
-            capture_wall_by_pts.insert(frame.pts_ms, broadcaster_clock.read_exact(t_cap));
-            segmenter.push_frame(&frame, a_in);
-        }
-        while next_audio_pts <= i as f64 * 1000.0 / fps {
-            let af = audio.next_frame(&mut enc_rng);
-            segmenter.push_audio(af.pts_ms, vec![0xAA; af.size]);
-            next_audio_pts += pscp_media::audio::frame_duration_ms();
-        }
+    Connected {
+        pop,
+        rtt: v.config.network.rtt_to(&pop.location()),
+        segmenter: Segmenter::new(SegmenterConfig::default()),
+        capture_wall_by_pts: HashMap::new(),
     }
+}
+
+impl Connected {
+    /// Packages a video frame as it reaches the ingest server.
+    pub fn package_video(&mut self, f: &IngestFrame, broadcaster_clock: &WallClock) {
+        self.capture_wall_by_pts.insert(f.frame.pts_ms, broadcaster_clock.read_exact(f.t_cap));
+        self.segmenter.push_frame(&f.frame, f.a_in);
+    }
+
+    /// Packages an audio frame (opaque bytes of the right size).
+    pub fn package_audio(&mut self, pts_ms: u32, size: usize) {
+        self.segmenter.push_audio(pts_ms, vec![0xAA; size]);
+    }
+}
+
+/// Packages the ingested media into segments and plays the client's
+/// playlist polls and sequential segment fetches over the closed-form TCP
+/// model; chat rides its own link.
+pub(crate) fn deliver(
+    ctx: &mut Ctx<'_>,
+    c: Connected,
+    media: &Media,
+    trace: &mut pscp_obs::Trace,
+) -> Delivered {
+    let v = ctx.v;
+    let (broadcast, join_at, config) = (v.broadcast, v.join_at, v.config);
+    let (pop, rtt) = (c.pop, c.rtt);
+    let capture_clock = &ctx.capture_clock;
+    let net_rng = &mut ctx.net_rng;
+
+    let (segmenter, capture_wall_by_pts) = (&c.segmenter, &c.capture_wall_by_pts);
 
     // --- client: playlist polls + sequential segment fetches ---
     let mut capture = Capture::new();
@@ -142,15 +107,14 @@ pub fn run_traced(
     // --- fault injection (DESIGN.md §8), every class gated on its own
     // rate so a disabled layer draws no variate and changes no byte ---
     let faults = &config.faults;
-    let fault_seed = faults.seed ^ rngs.seed();
+    let fault_seed = faults.seed ^ ctx.unit_seed;
     let mut link_faults =
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "hls/link"));
+        LinkFaults::active(faults).then(|| LinkFaults::new(faults, ctx.unit_seed, "hls/link"));
     let mut seg_rng = FaultRng::from_label(fault_seed, "hls/segment");
     let pop_host = pop.hostname().to_string();
 
     // App bootstrap traffic first: metadata, thumbnails, chat backlog.
-    let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
-        .clamp(150_000.0, 4_000_000.0) as usize;
+    let overhead_bytes = media.bootstrap_bytes;
     let misc_flow = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
     let boot = tcp.transfer(join_at, overhead_bytes, &mut cwnd, true);
     let mut boot_extra = SimDuration::ZERO;
@@ -163,7 +127,7 @@ pub fn run_traced(
             }
             None => at,
         };
-        let wall = capture_clock.read(at, &mut net_rng);
+        let wall = capture_clock.read(at, net_rng);
         capture.record_zeros(misc_flow, at, wall, n);
     }
     let boot_done = boot.completion + boot_extra;
@@ -224,7 +188,7 @@ pub fn run_traced(
                 capture.record(flow, at, wall, &resp.encode());
             };
         let Some(last) = playlist.last_sequence() else {
-            record_playlist(&mut capture, now, &mut net_rng);
+            record_playlist(&mut capture, now, net_rng);
             trace.count("hls", "playlist_polls", 1);
             now += POLL;
             continue;
@@ -242,7 +206,7 @@ pub fn run_traced(
         if want > last {
             // Live edge reached: poll the playlist until a new segment
             // appears (costs an RTT and a tiny response).
-            record_playlist(&mut capture, now + rtt, &mut net_rng);
+            record_playlist(&mut capture, now + rtt, net_rng);
             trace.count("hls", "playlist_polls", 1);
             if trace.is_enabled() {
                 trace.event((now + rtt).as_micros(), "hls", "hls.playlist_poll", vec![]);
@@ -289,7 +253,7 @@ pub fn run_traced(
                 None => at,
             };
             let end_off = (off + n).min(body.len());
-            let wall = capture_clock.read(at, &mut net_rng);
+            let wall = capture_clock.read(at, net_rng);
             capture.record(flow, at, wall, &body[off..end_off]);
             off = end_off;
         }
@@ -339,10 +303,8 @@ pub fn run_traced(
         next_seq = Some(want + 1);
         fetched += 1;
     }
-    if let Some(lf) = link_faults {
-        trace.count("fault", "lost_packets", lf.lost);
-        trace.count("fault", "latency_spikes", lf.spiked);
-        trace.count("recovery", "retransmits", lf.lost);
+    if let Some(lf) = &link_faults {
+        record_link_faults(trace, lf);
     }
 
     // Chat traffic: on HLS sessions the popular broadcasts have busy, often
@@ -353,70 +315,30 @@ pub fn run_traced(
         config.network.bottleneck_bps(),
         pop.location().propagation_to(&config.network.location),
     );
-    let chat_windows = if faults.chat_drop_per_min > 0.0 {
-        fault::drop_windows(
-            fault_seed,
-            "hls/chat",
-            join_at,
-            session_end,
-            faults.chat_drop_per_min,
-            chat_client::CHAT_RECONNECT_GAP,
-        )
-    } else {
-        Vec::new()
-    };
-    if !chat_windows.is_empty() {
-        trace.count("fault", "chat_drops", chat_windows.len() as u64);
-        trace.count("recovery", "chat_reconnects", chat_windows.len() as u64);
-    }
-    chat_client::generate_with_faults(
+    let chat_windows = chat_client::drop_windows(&v, fault_seed, "hls/chat", trace);
+    chat_client::generate(
         broadcast,
         join_at,
         session_end,
         config,
         &mut chat_link,
-        &capture_clock,
+        capture_clock,
         &mut capture,
-        &mut net_rng,
+        net_rng,
         &chat_windows,
     );
 
-    let log = run_playback(join_at, config.watch, config.player_hls, &arrivals);
-    // Join decomposition (paper Fig 11 analogue): app bootstrap, playlist
-    // discovery (first poll round-trips and POP re-polls), then segment
-    // downloads until the initial buffer fills. The three child spans tile
-    // [join_at, first_frame] exactly, so they sum to the join time; the
-    // parent is the teleport driver's session root when one is open.
-    if let Some(j) = log.join_time {
-        let parent = trace.current_span();
-        let first_frame = join_at + j;
-        let boot_end = boot_done.min(first_frame);
-        let fetch_start = first_fetch_start.unwrap_or(first_frame).clamp(boot_end, first_frame);
-        trace.span(join_at.as_micros(), boot_end.as_micros(), "tcp", "tcp.bootstrap", parent);
-        trace.span(boot_end.as_micros(), fetch_start.as_micros(), "hls", "hls.playlist", parent);
-        trace.span(fetch_start.as_micros(), first_frame.as_micros(), "hls", "hls.segments", parent);
-    }
-    log.record_events(join_at, trace);
-    crate::session::trace_session_end(trace, session_end.as_micros(), &log, &capture);
-    // §2: "after an HTTP Live Streaming (HLS) session, the app reports only
-    // the number of stall events."
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: None,
-        playback_latency_s: None,
-    };
-    let rendered = rendered_fps(fps, config.device, &log);
-    SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Hls,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
+    Delivered {
         capture,
-        meta,
-        viewers_at_join: broadcast.viewers_at(join_at),
-        rendered_fps: rendered,
+        arrivals,
         server: pop.hostname().to_string(),
+        // App bootstrap, playlist discovery (first poll round-trips and POP
+        // re-polls), then segment downloads until the initial buffer fills.
+        phases: vec![
+            (boot_done, "tcp", "tcp.bootstrap"),
+            (first_fetch_start.unwrap_or(SimTime::MAX), "hls", "hls.playlist"),
+            (SimTime::MAX, "hls", "hls.segments"),
+        ],
     }
 }
 
@@ -424,10 +346,14 @@ pub fn run_traced(
 mod tests {
     use super::*;
     use crate::device::NetworkSetup;
+    use crate::session::{run, SessionConfig, SessionOutcome};
     use pscp_media::analysis::analyze_hls_flow;
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
+    use pscp_service::select::Protocol;
     use pscp_simnet::GeoPoint;
+    use pscp_simnet::RngFactory;
+    use pscp_workload::broadcast::Broadcast;
     use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
 
     fn popular_broadcast(seed: u64) -> Broadcast {
@@ -452,7 +378,7 @@ mod tests {
     fn run_session(seed: u64, config: SessionConfig) -> SessionOutcome {
         let b = popular_broadcast(seed);
         let rngs = RngFactory::new(seed).child("hls-session");
-        run(&b, SimTime::from_secs(500), &config, &rngs)
+        run(Protocol::Hls, &b, SimTime::from_secs(500), &config, &rngs)
     }
 
     #[test]

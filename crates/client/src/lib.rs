@@ -13,8 +13,11 @@
 //!   latency (the quantities of Figures 3–4);
 //! * [`uplink`] — the *broadcaster's* mobile uplink, whose glitches are what
 //!   make even unthrottled viewers stall occasionally (Fig 3a);
-//! * [`rtmp_session`] / [`hls_session`] — end-to-end session simulation
-//!   producing wire-accurate captures;
+//! * [`session`] — one viewing session end to end, producing a
+//!   wire-accurate capture: a pipeline whose stages are shared by every
+//!   transport except connect and deliver;
+//! * [`rtmp_session`] / [`hls_session`] — the paper's two transports:
+//!   RTMP push from the ingest server, HLS segment pull from a CDN POP;
 //! * [`srt_session`] — the what-if unreliable-transport study: SRT-style
 //!   NAK/ARQ ingest with a latency window (DESIGN.md §12), selected only by
 //!   [`SessionConfig::transport`](session::SessionConfig::transport);

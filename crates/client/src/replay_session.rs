@@ -7,11 +7,10 @@
 //! for new segments, no delivery-latency notion (the NTP timestamps in the
 //! recording are hours stale and excluded from latency analysis).
 
-use crate::chat_client;
 use crate::player::{run_playback, MediaArrival};
-use crate::rtmp_session::rendered_fps;
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
+use crate::session::{finish, SessionConfig, SessionOutcome, Viewing};
 use pscp_media::capture::{Capture, FlowKind};
+use pscp_obs::Trace;
 use pscp_proto::http::Response;
 use pscp_service::cdn;
 use pscp_service::replay::ReplayVod;
@@ -98,28 +97,14 @@ pub fn run(
 
     // Replay pages still show chat history but the room is closed: no live
     // messages. Only the video traffic flows.
-    let _ = chat_client::events; // (documented no-op for replays)
 
     let log = run_playback(start_at, config.watch, config.player_hls, &arrivals);
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: None,
-        playback_latency_s: None,
-    };
-    let fps = broadcast.device.fps();
-    let rendered = rendered_fps(fps, config.device, &log);
-    Some(SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Hls,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
-        capture,
-        meta,
-        viewers_at_join: 0,
-        rendered_fps: rendered,
-        server: format!("{} (replay)", pop.hostname()),
-    })
+    let v = Viewing { broadcast, join_at: start_at, config };
+    let server = format!("{} (replay)", pop.hostname());
+    let mut out = finish(&v, Protocol::Hls, log, capture, server, &mut Trace::disabled());
+    // A replay viewer is not one of the broadcast's live viewers.
+    out.viewers_at_join = 0;
+    Some(out)
 }
 
 #[cfg(test)]

@@ -1,333 +1,224 @@
-//! End-to-end RTMP viewing session.
+//! RTMP transport: connect and deliver stages of the session pipeline
+//! ([`session`](crate::session)).
 //!
-//! The full §3/§5.1 pipeline: the broadcaster's phone encodes and uploads
-//! over a glitchy mobile uplink to the nearest EC2 ingest server, which
-//! pushes every message to the viewer the moment it has it ("The RTMP
-//! servers can push the video data directly to viewers right after
-//! receiving it from the broadcasting client"); the viewer's tethered phone
-//! receives through the optional `tc` shaper, tcpdump records every packet,
-//! and the player buffers ~1.6 s before rendering.
+//! The §3/§5.1 push path: the ingest server pushes every message to the
+//! viewer the moment it has it ("The RTMP servers can push the video data
+//! directly to viewers right after receiving it from the broadcasting
+//! client"); the viewer's tethered phone receives through the optional
+//! `tc` shaper, tcpdump records every packet, and the player buffers
+//! ~1.6 s before rendering.
 
 use crate::chat_client;
-use crate::device::ViewerDevice;
-use crate::player::{run_playback, MediaArrival};
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::uplink::Uplink;
-use pscp_media::audio::AudioEncoder;
+use crate::player::MediaArrival;
+use crate::session::{record_link_faults, Ctx, Delivered, FrameMeta, Media, Pushed, Viewing};
 use pscp_media::bitstream::FrameKind;
 use pscp_media::capture::{Capture, FlowKind};
-use pscp_media::content::ContentProcess;
-use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_media::flv::{AudioTag, VideoTag};
 use pscp_proto::amf::{encode_command, Amf0};
 use pscp_proto::rtmp::{
     handshake_c0c1, handshake_s0s1s2, Chunker, Message, MessageRef, MessageType,
 };
-use pscp_service::ingest::assign_server;
-use pscp_service::select::Protocol;
+use pscp_service::ingest::IngestServer;
 use pscp_simnet::fault::{self, LinkFaults};
-use pscp_simnet::{BufPool, Link, RngFactory, SimDuration, SimTime, WallClock};
-use pscp_workload::broadcast::Broadcast;
+use pscp_simnet::rng::CounterRng;
+use pscp_simnet::{BufPool, Link, SimDuration, SimTime};
 use std::collections::HashMap;
 
-/// Encode-side latency on the broadcaster phone (capture → packet out).
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
-/// Small per-message server forwarding delay.
-const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
-/// How much already-uploaded media the server replays from (at most one
-/// GOP back to the latest keyframe, so playback can start immediately).
-const WARMUP: SimDuration = SimDuration::from_secs(6);
 /// Gap an injected mid-stream RTMP disconnect leaves before the client's
 /// reconnect completes (DESIGN.md §8).
 const RTMP_RECONNECT_GAP: SimDuration = SimDuration::from_secs(4);
 
-/// Runs one RTMP session: the viewer joins `broadcast` at absolute time
-/// `join_at` and watches for `config.watch`.
-pub fn run(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-) -> SessionOutcome {
-    run_traced(broadcast, join_at, config, rngs, &mut pscp_obs::Trace::disabled())
+/// An RTMP connection up to the play command.
+pub(crate) struct Connected {
+    rtt: SimDuration,
+    /// When the play command lands and the server starts pushing.
+    pub play_cmd_at: SimTime,
 }
 
-/// [`run`] plus per-session instrumentation into `trace` (no-ops when the
-/// trace is disabled; the simulation itself is identical either way —
-/// tracing draws no randomness and moves no timestamps).
-pub fn run_traced(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
+/// TCP connect + (TLS handshake for private streams) + RTMP handshake.
+pub(crate) fn connect(v: &Viewing<'_>, ingest: &IngestServer) -> Connected {
+    let rtt = v.config.network.rtt_to(&ingest.location());
+    let tls_rtts = if v.broadcast.private { pscp_proto::tls::HANDSHAKE_RTTS as u64 } else { 0 };
+    Connected { rtt, play_cmd_at: v.join_at + rtt + rtt / 2 + rtt * tls_rtts }
+}
+
+/// One downstream transmission: a range of the session's send arena.
+pub(crate) struct Send {
+    pub at: SimTime,
+    pub flow: usize,
+    pub start: usize,
+    pub end: usize,
+    pub meta: Option<FrameMeta>,
+}
+
+/// All outbound bytes of a session live in one arena (`data`); each
+/// [`Send`] is a range into it. Sorting by time moves small records, not
+/// payloads, and the transmit loop borrows MTU-sized windows straight out
+/// of the arena — no per-message or per-packet Vec.
+pub(crate) struct Sends {
+    pub list: Vec<Send>,
+    pub data: Vec<u8>,
+}
+
+impl Sends {
+    /// Appends a send whose bytes `write` lays down at the arena's end.
+    pub fn push(
+        &mut self,
+        at: SimTime,
+        flow: usize,
+        meta: Option<FrameMeta>,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let start = self.data.len();
+        write(&mut self.data);
+        self.list.push(Send { at, flow, start, end: self.data.len(), meta });
+    }
+}
+
+/// The app's own TCP flows beside the media (RTMP and SRT): bootstrap,
+/// chat JSON and, with the chat pane on, profile pictures.
+pub(crate) struct AppFlows {
+    pub chat: usize,
+    pics: Option<usize>,
+    bootstrap_done: SimTime,
+}
+
+impl AppFlows {
+    /// Opens the app flows in `capture` and sends the bootstrap burst once
+    /// the access link is up.
+    pub fn open(capture: &mut Capture, sends: &mut Sends, v: &Viewing<'_>, media: &Media) -> Self {
+        let network = &v.config.network;
+        let misc = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
+        let bytes = media.bootstrap_bytes;
+        sends.push(v.join_at + network.access_rtt, misc, None, |d| d.resize(d.len() + bytes, 0));
+        AppFlows {
+            chat: capture.open_flow(FlowKind::Chat, "chatman.periscope.tv"),
+            pics: v
+                .config
+                .chat_on
+                .then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com")),
+            bootstrap_done: v.join_at
+                + network.access_rtt
+                + SimDuration::from_secs_f64(bytes as f64 * 8.0 / network.bottleneck_bps()),
+        }
+    }
+
+    /// Chat + pictures (§5.1: JSON flows even with chat off; pictures only
+    /// with chat on). The chat *pane* — and with it the avatar downloads —
+    /// only renders once the stream view is up, so picture fetches cannot
+    /// precede the app bootstrap finishing; the WebSocket connects earlier.
+    pub fn push_chat(&self, sends: &mut Sends, v: &Viewing<'_>, net_rng: &mut CounterRng) {
+        let to = v.join_at + v.config.watch;
+        for ev in chat_client::events(v.broadcast, v.join_at, to, v.config, net_rng) {
+            let (flow, at) = match (ev.kind, self.pics) {
+                (FlowKind::Chat, _) => (self.chat, ev.at),
+                (FlowKind::PictureHttp, Some(pics)) => (pics, ev.at.max(self.bootstrap_done)),
+                _ => continue,
+            };
+            sends.push(at, flow, None, |d| d.extend_from_slice(&ev.bytes));
+        }
+    }
+}
+
+/// Delivers over one FIFO bottleneck: every transmission (bootstrap,
+/// handshake, media, chat, pictures) is merged into send-time order before
+/// hitting the shared link, so cross-traffic genuinely delays video — the
+/// FIFO contention behind the paper's 2 Mbps QoE boundary.
+pub(crate) fn deliver(
+    ctx: &mut Ctx<'_>,
+    c: Connected,
+    media: &Media,
     trace: &mut pscp_obs::Trace,
-) -> SessionOutcome {
-    let mut enc_rng = rngs.stream("rtmp/encoder");
-    let mut net_rng = rngs.stream("rtmp/net");
-    let mut clock_rng = rngs.stream("rtmp/clocks");
-
-    let broadcaster_clock = WallClock::ntp_synced(&mut clock_rng);
-    let capture_clock = WallClock::ntp_synced(&mut clock_rng);
-
-    let server = assign_server(&broadcast.location, broadcast.id.0);
-    let prop_up = broadcast.location.propagation_to(&server.location());
-    let rtt = config.network.rtt_to(&server.location());
-    crate::session::trace_session_start(
-        trace,
-        "rtmp",
-        broadcast.id,
-        broadcast.viewers_at(join_at),
-        join_at.as_micros(),
-        config,
-    );
-
-    // --- broadcaster side: encode + upload ---
-    let enc_cfg = EncoderConfig {
-        fps: broadcast.device.fps(),
-        gop: broadcast.device.gop(),
-        target_bitrate_bps: broadcast.target_bitrate_bps,
-        ..Default::default()
-    };
-    let fps = enc_cfg.fps;
-    let content = ContentProcess::new(broadcast.content, &mut enc_rng);
-    let mut encoder = Encoder::new(enc_cfg, content);
-    let mut audio = AudioEncoder::new(broadcast.audio);
-
-    let sim_start = join_at - WARMUP;
-    let end = join_at + config.watch + SimDuration::from_secs(2);
-    let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-
-    // (capture time, arrival at ingest, frame) for video; audio separately.
-    struct IngestFrame {
-        t_cap: SimTime,
-        a_in: SimTime,
-        frame: pscp_media::encoder::EncodedFrame,
-    }
-    let mut video_in: Vec<IngestFrame> = Vec::new();
-    let mut audio_in: Vec<(SimTime, u32, usize)> = Vec::new(); // (arrival, pts, size)
-    let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
-    let mut next_audio_pts = 0.0;
-    for i in 0..total_frames {
-        let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_frame(wall, &mut enc_rng) {
-            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.bytes.len());
-            video_in.push(IngestFrame { t_cap, a_in: sent + prop_up, frame });
-        }
-        // Audio frames tick at their own 23.22 ms cadence.
-        while next_audio_pts <= i as f64 * 1000.0 / fps {
-            let af = audio.next_frame(&mut enc_rng);
-            let t_a = sim_start + SimDuration::from_secs_f64(next_audio_pts / 1000.0);
-            let sent = uplink.upload(t_a + ENCODE_LATENCY, af.size);
-            audio_in.push((sent + prop_up, af.pts_ms, af.size));
-            next_audio_pts += pscp_media::audio::frame_duration_ms();
-        }
-    }
-
-    // --- server side: choose the replay start (latest keyframe already
-    // ingested when the play command lands) ---
-    let tls_rtts = if broadcast.private { pscp_proto::tls::HANDSHAKE_RTTS as u64 } else { 0 };
-    // TCP connect + (TLS handshake for private streams) + RTMP handshake.
-    let play_cmd_at = join_at + rtt + rtt / 2 + rtt * tls_rtts;
+) -> Delivered {
+    let v = ctx.v;
+    let (broadcast, join_at, config) = (v.broadcast, v.join_at, v.config);
+    let server = &ctx.ingest;
+    let (rtt, play_cmd_at, end) = (c.rtt, c.play_cmd_at, media.end);
     if trace.is_enabled() {
         trace.event((join_at + rtt).as_micros(), "rtmp", "rtmp.handshake", vec![]);
         trace.event(play_cmd_at.as_micros(), "rtmp", "rtmp.play_start", vec![]);
     }
-    let cached: Vec<usize> = video_in
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.a_in <= play_cmd_at)
-        .map(|(i, _)| i)
-        .collect();
-    let start_idx = cached
-        .iter()
-        .rev()
-        .find(|&&i| video_in[i].frame.kind == FrameKind::I)
-        .copied()
-        .unwrap_or_else(|| cached.last().copied().unwrap_or(0));
-
-    // --- wire: every transmission (bootstrap, handshake, media, chat,
-    // pictures) is merged into send-time order before hitting the shared
-    // bottleneck link, so cross-traffic genuinely delays video — the FIFO
-    // contention behind the paper's 2 Mbps QoE boundary. ---
     let mut capture = Capture::new();
     let flow_rtmp = capture.open_flow(FlowKind::Rtmp, server.reverse_dns());
-    let flow_misc = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
-    let flow_chat = capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
-    let flow_pics =
-        config.chat_on.then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
-    let bottleneck = config.network.bottleneck_bps();
+    let mut sends = Sends {
+        list: Vec::new(),
+        data: Vec::with_capacity(
+            media.video.iter().map(|f| f.frame.bytes.len() + 32).sum::<usize>()
+                + media.audio.iter().map(|a| a.size + 32).sum::<usize>()
+                + 64 * 1024,
+        ),
+    };
+    let app = AppFlows::open(&mut capture, &mut sends, &v, media);
     let one_way_down =
         server.location().propagation_to(&config.network.location) + config.network.access_rtt / 2;
-    let mut link = Link::unbounded(bottleneck, one_way_down);
-
-    // Last-chunk metadata for video messages feeding the player.
-    struct Meta {
-        media_end_s: f64,
-        capture_wall_s: f64,
-    }
-    // All outbound bytes for the session live in one arena (`send_data`);
-    // each `Send` is a range into it. Sorting by time moves small records,
-    // not payloads, and the transmit loop borrows MTU-sized windows straight
-    // out of the arena — no per-message or per-packet Vec.
-    struct Send {
-        at: SimTime,
-        flow: usize,
-        start: usize,
-        end: usize,
-        meta: Option<Meta>,
-    }
-    let mut sends: Vec<Send> = Vec::new();
-    let mut send_data: Vec<u8> = Vec::with_capacity(
-        video_in.iter().map(|f| f.frame.bytes.len() + 32).sum::<usize>()
-            + audio_in.iter().map(|&(_, _, size)| size + 32).sum::<usize>()
-            + 64 * 1024,
-    );
-
-    // App bootstrap: before (and while) the stream starts, the app pulls
-    // broadcast metadata, thumbnails and the recent chat backlog. On a fast
-    // link this is invisible; under a tc limit it is what makes join times
-    // explode (Fig 4a).
-    let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
-        .clamp(150_000.0, 4_000_000.0) as usize;
-    let start = send_data.len();
-    send_data.resize(start + overhead_bytes, 0);
-    sends.push(Send {
-        at: join_at + config.network.access_rtt,
-        flow: flow_misc,
-        start,
-        end: send_data.len(),
-        meta: None,
-    });
+    let mut link = Link::unbounded(config.network.bottleneck_bps(), one_way_down);
 
     // Handshake: S0+S1+S2 arrive right after connect, then the control
     // burst (SetChunkSize + onStatus).
     let c0c1 = handshake_c0c1(0, 0x7e);
     let s_bytes = handshake_s0s1s2(&c0c1, 0).expect("own C0C1 is valid");
-    let start = send_data.len();
-    send_data.extend_from_slice(&s_bytes);
-    sends.push(Send {
-        at: join_at + rtt,
-        flow: flow_rtmp,
-        start,
-        end: send_data.len(),
-        meta: None,
-    });
+    sends.push(join_at + rtt, flow_rtmp, None, |d| d.extend_from_slice(&s_bytes));
     let mut chunker = Chunker::new();
-    let start = send_data.len();
-    chunker.write(&Message::set_chunk_size(4096), &mut send_data);
-    chunker.write(
-        &Message::command(encode_command(
-            "onStatus",
-            0.0,
-            &[Amf0::Null, Amf0::object([("code", Amf0::String("NetStream.Play.Start".into()))])],
-        )),
-        &mut send_data,
-    );
-    sends.push(Send { at: play_cmd_at, flow: flow_rtmp, start, end: send_data.len(), meta: None });
+    sends.push(play_cmd_at, flow_rtmp, None, |d| {
+        chunker.write(&Message::set_chunk_size(4096), d);
+        chunker.write(
+            &Message::command(encode_command(
+                "onStatus",
+                0.0,
+                &[
+                    Amf0::Null,
+                    Amf0::object([("code", Amf0::String("NetStream.Play.Start".into()))]),
+                ],
+            )),
+            d,
+        );
+    });
 
-    // Media messages: backlog burst + live push, interleaved with audio.
+    // Media messages: backlog burst + live push, interleaved with audio
+    // (chunker state follows the same order the bytes go on the wire).
     // One pooled scratch buffer holds each FLV tag body while the chunker
     // copies it into the arena; it is reused for every message in the
     // session (and recycled across sessions sharing the pool).
     let pool = BufPool::default();
     let mut scratch = pool.take(8 * 1024);
-    let first_pts = video_in.get(start_idx).map(|f| f.frame.pts_ms).unwrap_or(0);
-    let frame_dur_s = 1.0 / fps;
-    let mut ai =
-        audio_in.iter().position(|&(_, pts, _)| pts >= first_pts).unwrap_or(audio_in.len());
-    for f in &video_in[start_idx..] {
-        let send_at = f.a_in.max(play_cmd_at) + SERVER_FORWARD;
-        if send_at >= end {
-            break;
-        }
-        // Interleave any audio due before this frame (chunker state follows
-        // the same order the bytes go on the wire).
-        while ai < audio_in.len() && audio_in[ai].1 <= f.frame.pts_ms {
-            let (a_arr, pts, size) = audio_in[ai];
-            ai += 1;
-            let a_send = a_arr.max(play_cmd_at) + SERVER_FORWARD;
-            if a_send >= end {
-                continue;
+    let first_pts = media.first_pts();
+    media.push_schedule(play_cmd_at, &ctx.broadcaster_clock, |pushed| {
+        let (at, msg, meta) = match pushed {
+            Pushed::Audio { at, pts_ms, size } => {
+                scratch.clear();
+                AudioTag::encode_into(size, &mut scratch);
+                trace.count("rtmp", "audio_msgs", 1);
+                (at, (4, pts_ms, MessageType::Audio), None)
             }
-            scratch.clear();
-            AudioTag::encode_into(size, &mut scratch);
-            let start = send_data.len();
+            Pushed::Video { at, frame, meta } => {
+                // The encoder output *is* the coded frame body: prepend the
+                // 5-byte FLV tag header and chunk it directly.
+                scratch.clear();
+                VideoTag::write_header(
+                    frame.kind == FrameKind::I,
+                    if frame.kind == FrameKind::B { 33 } else { 0 },
+                    &mut scratch,
+                );
+                scratch.extend_from_slice(&frame.bytes);
+                trace.count("rtmp", "video_msgs", 1);
+                (at, (6, frame.pts_ms, MessageType::Video), Some(meta))
+            }
+        };
+        let (chunk_stream_id, pts_ms, kind) = msg;
+        sends.push(at, flow_rtmp, meta, |d| {
             chunker.write_ref(
                 MessageRef {
-                    chunk_stream_id: 4,
-                    timestamp: pts.saturating_sub(first_pts),
-                    kind: MessageType::Audio,
+                    chunk_stream_id,
+                    timestamp: pts_ms.saturating_sub(first_pts),
+                    kind,
                     stream_id: 1,
                     payload: &scratch,
                 },
-                &mut send_data,
-            );
-            sends.push(Send {
-                at: a_send,
-                flow: flow_rtmp,
-                start,
-                end: send_data.len(),
-                meta: None,
-            });
-            trace.count("rtmp", "audio_msgs", 1);
-        }
-        // The encoder output *is* the coded frame body: prepend the 5-byte
-        // FLV tag header and chunk it directly, instead of the old
-        // decode → re-wrap → re-encode roundtrip (byte-identical because
-        // `FramePayload::encode` is deterministic).
-        scratch.clear();
-        VideoTag::write_header(
-            f.frame.kind == FrameKind::I,
-            if f.frame.kind == FrameKind::B { 33 } else { 0 },
-            &mut scratch,
-        );
-        scratch.extend_from_slice(&f.frame.bytes);
-        let start = send_data.len();
-        chunker.write_ref(
-            MessageRef {
-                chunk_stream_id: 6,
-                timestamp: f.frame.pts_ms.saturating_sub(first_pts),
-                kind: MessageType::Video,
-                stream_id: 1,
-                payload: &scratch,
-            },
-            &mut send_data,
-        );
-        sends.push(Send {
-            at: send_at,
-            flow: flow_rtmp,
-            start,
-            end: send_data.len(),
-            meta: Some(Meta {
-                media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
-                capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
-            }),
+                d,
+            )
         });
-        trace.count("rtmp", "video_msgs", 1);
-    }
-
-    // Chat + pictures (§5.1: JSON flows even with chat off; pictures only
-    // with chat on). The chat *pane* — and with it the avatar downloads —
-    // only renders once the stream view is up, so picture fetches cannot
-    // precede the app bootstrap finishing; the WebSocket connects earlier.
-    let bootstrap_done = join_at
-        + config.network.access_rtt
-        + SimDuration::from_secs_f64(overhead_bytes as f64 * 8.0 / bottleneck);
-    for ev in chat_client::events(broadcast, join_at, join_at + config.watch, config, &mut net_rng)
-    {
-        let (flow, at) = match ev.kind {
-            FlowKind::Chat => (flow_chat, ev.at),
-            FlowKind::PictureHttp => match flow_pics {
-                Some(f) => (f, ev.at.max(bootstrap_done)),
-                None => continue,
-            },
-            _ => continue,
-        };
-        let start = send_data.len();
-        send_data.extend_from_slice(&ev.bytes);
-        sends.push(Send { at, flow, start, end: send_data.len(), meta: None });
-    }
+    });
+    app.push_chat(&mut sends, &v, &mut ctx.net_rng);
 
     // Private broadcasts travel over RTMPS (§3): the RTMP bytes are sealed
     // in TLS records. The app decrypts them fine (arrival times and media
@@ -339,19 +230,19 @@ pub fn run_traced(
         // Re-build the arena with RTMP ranges sealed (in push order, which
         // is the order the plaintext ranges were laid down — the TLS record
         // sequence must match the chunker byte order).
-        let mut sealed = Vec::with_capacity(send_data.len() + send_data.len() / 8);
-        for send in &mut sends {
+        let mut sealed = Vec::with_capacity(sends.data.len() + sends.data.len() / 8);
+        for send in &mut sends.list {
             let start = sealed.len();
             if send.flow == flow_rtmp {
-                let record = tls.seal(&send_data[send.start..send.end]);
+                let record = tls.seal(&sends.data[send.start..send.end]);
                 sealed.extend_from_slice(&record);
             } else {
-                sealed.extend_from_slice(&send_data[send.start..send.end]);
+                sealed.extend_from_slice(&sends.data[send.start..send.end]);
             }
             send.start = start;
             send.end = sealed.len();
         }
-        send_data = sealed;
+        sends.data = sealed;
     }
 
     // --- fault injection (DESIGN.md §8): deterministic drop windows for
@@ -359,7 +250,7 @@ pub fn run_traced(
     // during transmission. Every class is gated on its own rate, so with
     // faults off none of this executes and no variate is drawn. ---
     let faults = &config.faults;
-    let fault_seed = faults.seed ^ rngs.seed();
+    let fault_seed = faults.seed ^ ctx.unit_seed;
     let dc_windows = if faults.rtmp_disconnect_per_min > 0.0 {
         fault::drop_windows(
             fault_seed,
@@ -372,28 +263,13 @@ pub fn run_traced(
     } else {
         Vec::new()
     };
-    let chat_windows = if faults.chat_drop_per_min > 0.0 {
-        fault::drop_windows(
-            fault_seed,
-            "rtmp/chat",
-            join_at,
-            join_at + config.watch,
-            faults.chat_drop_per_min,
-            chat_client::CHAT_RECONNECT_GAP,
-        )
-    } else {
-        Vec::new()
-    };
     if !dc_windows.is_empty() {
         trace.count("fault", "rtmp_disconnects", dc_windows.len() as u64);
         trace.count("recovery", "rtmp_reconnects", dc_windows.len() as u64);
     }
-    if !chat_windows.is_empty() {
-        trace.count("fault", "chat_drops", chat_windows.len() as u64);
-        trace.count("recovery", "chat_reconnects", chat_windows.len() as u64);
-    }
+    let chat_windows = chat_client::drop_windows(&v, fault_seed, "rtmp/chat", trace);
     let mut link_faults =
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "rtmp/link"));
+        LinkFaults::active(faults).then(|| LinkFaults::new(faults, ctx.unit_seed, "rtmp/link"));
     // Losses surface as retransmission delay, which can reorder packets
     // relative to the fault-free FIFO; the capture stays per-flow monotone
     // by flooring each arrival at its flow's previous one.
@@ -402,14 +278,14 @@ pub fn run_traced(
     // Merge by send time (stable: equal-time sends keep their push order,
     // which keeps the RTMP chunker byte order intact) and transmit. Per
     // flow, FIFO enqueueing keeps arrival order non-decreasing.
-    sends.sort_by_key(|s| s.at);
+    sends.list.sort_by_key(|s| s.at);
     let mtu = config.network.mtu.max(256);
     // Pre-size the capture: the arena ranges say exactly how many payload
     // bytes each flow records, and chunking bounds the packet count.
     {
         let mut flow_bytes = vec![0usize; capture.flows.len()];
         let mut flow_pkts = vec![0usize; capture.flows.len()];
-        for s in &sends {
+        for s in &sends.list {
             flow_bytes[s.flow] += s.end - s.start;
             flow_pkts[s.flow] += (s.end - s.start).div_ceil(mtu);
         }
@@ -418,14 +294,14 @@ pub fn run_traced(
         }
     }
     let mut arrivals: Vec<MediaArrival> = Vec::new();
-    for send in &sends {
+    for send in &sends.list {
         if (send.flow == flow_rtmp && fault::in_windows(&dc_windows, send.at))
-            || (send.flow == flow_chat && fault::in_windows(&chat_windows, send.at))
+            || (send.flow == app.chat && fault::in_windows(&chat_windows, send.at))
         {
             continue; // the connection is down; these bytes never leave
         }
         let mut last = None;
-        let payload = &send_data[send.start..send.end];
+        let payload = &sends.data[send.start..send.end];
         let mut chunks = payload.chunks(mtu);
         link.enqueue_batch(send.at, payload.chunks(mtu).map(<[u8]>::len), |delivery| {
             let chunk = chunks.next().expect("one chunk per offered size");
@@ -439,7 +315,7 @@ pub fn run_traced(
                     }
                     None => arr,
                 };
-                let wall = capture_clock.read(arr, &mut clock_rng);
+                let wall = ctx.capture_clock.read(arr, &mut ctx.clock_rng);
                 capture.record(send.flow, arr, wall, chunk);
                 last = Some(arr);
             }
@@ -452,83 +328,35 @@ pub fn run_traced(
             });
         }
     }
-    if let Some(lf) = link_faults {
-        trace.count("fault", "lost_packets", lf.lost);
-        trace.count("fault", "latency_spikes", lf.spiked);
-        trace.count("recovery", "retransmits", lf.lost);
+    if let Some(lf) = &link_faults {
+        record_link_faults(trace, lf);
     }
-
-    let log = run_playback(join_at, config.watch, config.player_rtmp, &arrivals);
-    // Join decomposition (paper Fig 11 analogue): TCP/TLS/RTMP handshakes
-    // until the play command, then buffer fill until first render. The two
-    // child spans tile [join_at, first_frame] exactly, so they sum to the
-    // session's join time; the parent is the teleport driver's session
-    // root when one is open.
-    if let Some(j) = log.join_time {
-        let parent = trace.current_span();
-        let first_frame = join_at + j;
-        let handshake_end = play_cmd_at.min(first_frame);
-        trace.span(
-            join_at.as_micros(),
-            handshake_end.as_micros(),
-            "rtmp",
-            "rtmp.handshake",
-            parent,
-        );
-        trace.span(
-            handshake_end.as_micros(),
-            first_frame.as_micros(),
-            "rtmp",
-            "rtmp.buffering",
-            parent,
-        );
-    }
-    log.record_events(join_at, trace);
-    crate::session::trace_session_end(trace, (join_at + config.watch).as_micros(), &log, &capture);
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: log.avg_stall_s(),
-        playback_latency_s: log.mean_latency_s(),
-    };
-    let rendered_fps = rendered_fps(fps, config.device, &log);
-    SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Rtmp,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
+    Delivered {
         capture,
-        meta,
-        viewers_at_join: broadcast.viewers_at(join_at),
-        rendered_fps,
+        arrivals,
         server: if broadcast.private {
             format!("rtmps://{}", server.hostname())
         } else {
             server.hostname()
         },
+        // TCP/TLS/RTMP handshakes until the play command, then buffer fill
+        // until first render.
+        phases: vec![(play_cmd_at, "rtmp", "rtmp.handshake"), (end, "rtmp", "rtmp.buffering")],
     }
-}
-
-/// Achieved render rate: the stream rate capped by the device, discounted
-/// by stall overhead.
-pub(crate) fn rendered_fps(
-    stream_fps: f64,
-    device: ViewerDevice,
-    log: &crate::player::PlayerLog,
-) -> f64 {
-    let base = stream_fps.min(device.render_fps_cap());
-    let active = log.played_s / log.session_s.max(1e-9);
-    base * active.clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::NetworkSetup;
+    use crate::device::{NetworkSetup, ViewerDevice};
+    use crate::session::{run, SessionConfig, SessionOutcome};
     use pscp_media::analysis::analyze_rtmp_flow;
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
+    use pscp_service::select::Protocol;
     use pscp_simnet::GeoPoint;
+    use pscp_simnet::RngFactory;
+    use pscp_workload::broadcast::Broadcast;
     use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
 
     fn test_broadcast(seed: u64) -> Broadcast {
@@ -553,7 +381,7 @@ mod tests {
     fn run_session(seed: u64, config: SessionConfig) -> SessionOutcome {
         let b = test_broadcast(seed);
         let rngs = RngFactory::new(seed).child("session");
-        run(&b, SimTime::from_secs(400), &config, &rngs)
+        run(Protocol::Rtmp, &b, SimTime::from_secs(400), &config, &rngs)
     }
 
     #[test]
@@ -658,7 +486,8 @@ mod tests {
         let mut b = test_broadcast(31);
         b.private = true;
         let rngs = RngFactory::new(31).child("session");
-        let out = run(&b, SimTime::from_secs(400), &SessionConfig::default(), &rngs);
+        let out =
+            run(Protocol::Rtmp, &b, SimTime::from_secs(400), &SessionConfig::default(), &rngs);
         assert!(out.server.starts_with("rtmps://"), "server={}", out.server);
         // Playback works: the app has the keys.
         assert!(out.join_time_s().is_some());

@@ -1,4 +1,5 @@
-//! End-to-end SRT viewing session — the what-if transport study
+//! SRT transport: connect and deliver stages of the session pipeline
+//! ([`session`](crate::session)) — the what-if transport study
 //! (DESIGN.md §12).
 //!
 //! The paper's measured transports are both TCP: RTMP turns packet loss
@@ -10,55 +11,40 @@
 //! that still fits the window, and otherwise *dropped and concealed*, so
 //! late media never stalls the player the way a TCP retransmit storm does.
 //!
-//! The pipeline mirrors [`rtmp_session`](crate::rtmp_session): encoder and
-//! glitchy uplink feed the ingest host, the gateway replays from the latest
-//! keyframe and pushes live, and the same player model scores QoE — the
+//! Everything but connect and deliver is the shared pipeline, so encoder,
+//! glitchy uplink, keyframe replay start and player model are RTMP's — the
 //! SRT player even runs RTMP buffer thresholds
 //! ([`PlayerConfig::srt`](crate::player::PlayerConfig::srt)), so the
 //! three-way chaos sweep compares transports, not tuning.
 //!
 //! Determinism: every random choice comes from labelled streams. The
-//! broadcaster-side streams deliberately reuse the *RTMP* labels
-//! (`rtmp/encoder`, `rtmp/net`, `rtmp/clocks`) as common random numbers:
-//! an SRT session of seed `s` sees the exact encoder, uplink-glitch and
-//! chat draws its RTMP counterpart would, so a transport comparison is
-//! paired — it measures the transport, not uplink luck. Transport-specific
-//! draws stay in their own namespace: `srt/link` (the shared
-//! Gilbert–Elliott chain discipline) for datagram fates, `srt/handshake`
-//! and `srt/retx` for control-path and retransmission fates — so a session
-//! is a pure function of `(seed, fault seed)` and invariant under
-//! `PSCP_THREADS`. Retransmission fates in particular are a pure hash of
-//! `(seq, attempt)`, never a shared draw sequence, so scaling the loss
-//! config cannot shift which retransmits fail.
+//! pipeline gives SRT the *RTMP* broadcaster-side labels (`rtmp/encoder`,
+//! `rtmp/net`, `rtmp/clocks`) as common random numbers: an SRT session of
+//! seed `s` sees the exact encoder, uplink-glitch and chat draws its RTMP
+//! counterpart would, so a transport comparison is paired — it measures
+//! the transport, not uplink luck. Transport-specific draws stay in their
+//! own namespace: `srt/link` (the shared Gilbert–Elliott chain discipline)
+//! for datagram fates, `srt/handshake` and `srt/retx` for control-path and
+//! retransmission fates — so a session is a pure function of `(seed,
+//! fault seed)` and invariant under `PSCP_THREADS`. Retransmission fates in
+//! particular are a pure hash of `(seq, attempt)`, never a shared draw
+//! sequence, so scaling the loss config cannot shift which retransmits
+//! fail. Unlike RTMP and HLS, SRT applies no chat-drop windows.
 
-use crate::chat_client;
-use crate::player::{run_playback, MediaArrival};
+use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::uplink::Uplink;
-use pscp_media::audio::AudioEncoder;
-use pscp_media::bitstream::FrameKind;
+use crate::rtmp_session::{AppFlows, Sends};
+use crate::session::{record_link_faults, Ctx, Delivered, Media, Pushed, Viewing};
 use pscp_media::capture::{Capture, FlowKind};
-use pscp_media::content::ContentProcess;
-use pscp_media::encoder::{Encoder, EncoderConfig};
 use pscp_proto::srt::{
-    self, seq_add, seq_distance, Caller, Listener, Packet, RecvEvent, RecvTracker, RetxEntry,
-    RetxQueue,
+    self, seq_add, seq_distance, Caller, ControlPacket, Listener, Packet, RecvEvent, RecvTracker,
+    RetxEntry, RetxQueue,
 };
-use pscp_service::ingest::assign_server;
-use pscp_service::select::Protocol;
+use pscp_service::ingest::IngestServer;
 use pscp_simnet::fault::{FaultRng, GilbertElliott, LinkFaults, LossConfig};
-use pscp_simnet::{DatagramLink, RngFactory, SimDuration, SimTime, WallClock};
-use pscp_workload::broadcast::Broadcast;
+use pscp_simnet::{DatagramLink, SimDuration, SimTime};
 use std::collections::HashMap;
 
-/// Encode-side latency on the broadcaster phone (capture → packet out).
-const ENCODE_LATENCY: SimDuration = SimDuration::from_millis(120);
-/// Small per-message gateway forwarding delay.
-const SERVER_FORWARD: SimDuration = SimDuration::from_millis(5);
-/// How much already-uploaded media the gateway replays from (at most one
-/// GOP back to the latest keyframe, so playback can start immediately).
-const WARMUP: SimDuration = SimDuration::from_secs(6);
 /// Sender retransmit-queue occupancy bound, wire bytes. At ~300 kbps this
 /// holds several seconds of media — comfortably more than the latency
 /// window, so evictions only happen under pathological loss.
@@ -66,17 +52,6 @@ const RETX_QUEUE_CAP: usize = 768 * 1024;
 /// Retransmission attempts per lost packet (first NAK plus one re-NAK);
 /// each failed attempt costs another RTT against the latency window.
 const MAX_RETX_ATTEMPTS: u32 = 2;
-
-/// Runs one SRT session: the viewer joins `broadcast` at absolute time
-/// `join_at` and watches for `config.watch`.
-pub fn run(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
-) -> SessionOutcome {
-    run_traced(broadcast, join_at, config, rngs, &mut pscp_obs::Trace::disabled())
-}
 
 /// Stationary loss probability of a Gilbert–Elliott config — the marginal
 /// rate a single retransmitted packet faces on the same path.
@@ -86,41 +61,35 @@ fn stationary_loss(cfg: &LossConfig) -> f64 {
     pi_bad * cfg.p_loss_bad + (1.0 - pi_bad) * cfg.p_loss_good
 }
 
-/// [`run`] plus per-session instrumentation into `trace` (no-ops when the
-/// trace is disabled; the simulation itself is identical either way).
-pub fn run_traced(
-    broadcast: &Broadcast,
-    join_at: SimTime,
-    config: &SessionConfig,
-    rngs: &RngFactory,
+/// A connected SRT session: the winning handshake attempt.
+pub(crate) struct Connected {
+    rtt: SimDuration,
+    /// Start of the winning attempt.
+    hs_start: SimTime,
+    /// When media starts flowing (two round trips after `hs_start`).
+    pub data_start: SimTime,
+    /// The downstream handshake packets the capture holds.
+    cookie: ControlPacket,
+    agreement: ControlPacket,
+    initial_seq: u32,
+    latency: SimDuration,
+}
+
+/// The caller/listener handshake over the lossy control path. `Err`
+/// carries the instant the last attempt gave up: the gateway is
+/// unreachable at the datagram layer and the app falls back to plain RTMP
+/// against the same ingest host, exactly like Teleport's ingest-outage
+/// failover — the wait so far is charged to the join clock.
+pub(crate) fn connect(
+    v: &Viewing<'_>,
+    ingest: &IngestServer,
+    unit_seed: u64,
     trace: &mut pscp_obs::Trace,
-) -> SessionOutcome {
-    // Common random numbers with the RTMP path (see module docs): the
-    // broadcaster side replays the exact draws an RTMP session of this seed
-    // makes, so the transports differ only in transport.
-    let mut enc_rng = rngs.stream("rtmp/encoder");
-    let mut net_rng = rngs.stream("rtmp/net");
-    let mut clock_rng = rngs.stream("rtmp/clocks");
-
-    let broadcaster_clock = WallClock::ntp_synced(&mut clock_rng);
-    let capture_clock = WallClock::ntp_synced(&mut clock_rng);
-
-    let server = assign_server(&broadcast.location, broadcast.id.0);
-    let prop_up = broadcast.location.propagation_to(&server.location());
-    let rtt = config.network.rtt_to(&server.location());
-    let faults = &config.faults;
-    let fault_seed = faults.seed ^ rngs.seed();
-    crate::session::trace_session_start(
-        trace,
-        "srt",
-        broadcast.id,
-        broadcast.viewers_at(join_at),
-        join_at.as_micros(),
-        config,
-    );
-
-    // --- caller/listener handshake over the lossy control path ---
-    //
+) -> Result<Connected, SimTime> {
+    let join_at = v.join_at;
+    let rtt = v.config.network.rtt_to(&ingest.location());
+    let faults = &v.config.faults;
+    let fault_seed = faults.seed ^ unit_seed;
     // Each attempt is four packets on the wire (induction up, cookie down,
     // conclusion up, agreement down); any loss among them times the attempt
     // out and the reconnect policy backs off before the next one. Exactly
@@ -157,10 +126,6 @@ pub fn run_traced(
         attempt += 1;
     };
     if !connected {
-        // The gateway is unreachable at the datagram layer; the app falls
-        // back to plain RTMP against the same ingest host, exactly like the
-        // teleport driver's outage failover — the wait so far is charged to
-        // the join clock.
         trace.count("recovery", "srt_fallbacks", 1);
         let parent = trace.current_span();
         trace.span(
@@ -177,22 +142,17 @@ pub fn run_traced(
             "recovery.failover",
             parent,
         );
-        let waited = hs_start.saturating_since(join_at);
-        let mut outcome = crate::rtmp_session::run_traced(broadcast, hs_start, config, rngs, trace);
-        if let Some(j) = outcome.player.join_time {
-            outcome.player.join_time = Some(j + waited);
-        }
-        return outcome;
+        return Err(hs_start);
     }
     // Drive the real state machines for the winning attempt: the cookie
     // and agreement are the downstream handshake bytes the capture holds.
-    let caller_id = (rngs.seed() as u32) | 1;
+    let caller_id = (unit_seed as u32) | 1;
     // Drawn from the full sequence space, so sessions routinely start near
     // the 2^32 boundary and the wrap arithmetic is exercised for real.
-    let initial_seq = (rngs.seed() >> 16) as u32;
+    let initial_seq = (unit_seed >> 16) as u32;
     let latency_ms = (srt::DEFAULT_LATENCY_US / 1000) as u32;
     let mut caller = Caller::new(caller_id, initial_seq, latency_ms);
-    let listener = Listener::new(broadcast.id.0 ^ 0x5eed_cafe);
+    let listener = Listener::new(v.broadcast.id.0 ^ 0x5eed_cafe);
     let induction = caller.next_packet().expect("caller starts inducing");
     let (cookie, _) = listener.on_packet(&induction).expect("own induction is valid");
     let cookie = cookie.expect("induction earns a cookie");
@@ -203,81 +163,48 @@ pub fn run_traced(
     caller.on_packet(&agreement).expect("agreement is valid");
     debug_assert!(caller.connected());
     let (initial_seq, latency_ms) = accepted.expect("listener accepted the conclusion");
-    let latency = SimDuration::from_millis(latency_ms as u64);
-    let data_start = hs_start + rtt + rtt; // two round trips
+    Ok(Connected {
+        rtt,
+        hs_start,
+        data_start: hs_start + rtt + rtt,
+        cookie,
+        agreement,
+        initial_seq,
+        latency: SimDuration::from_millis(latency_ms as u64),
+    })
+}
 
-    // --- broadcaster side: encode + upload (same shape as RTMP) ---
-    let enc_cfg = EncoderConfig {
-        fps: broadcast.device.fps(),
-        gop: broadcast.device.gop(),
-        target_bitrate_bps: broadcast.target_bitrate_bps,
-        ..Default::default()
-    };
-    let fps = enc_cfg.fps;
-    let content = ContentProcess::new(broadcast.content, &mut enc_rng);
-    let mut encoder = Encoder::new(enc_cfg, content);
-    let mut audio = AudioEncoder::new(broadcast.audio);
-
-    let sim_start = join_at - WARMUP;
-    let end = join_at + config.watch + SimDuration::from_secs(2);
-    let mut uplink = Uplink::draw(&config.uplink, sim_start, end, &mut enc_rng);
-
-    struct IngestFrame {
-        t_cap: SimTime,
-        a_in: SimTime,
-        frame: pscp_media::encoder::EncodedFrame,
-    }
-    let mut video_in: Vec<IngestFrame> = Vec::new();
-    let mut audio_in: Vec<(SimTime, u32, usize)> = Vec::new(); // (arrival, pts, size)
-    let total_frames = (end.saturating_since(sim_start).as_secs_f64() * fps) as u64;
-    let mut next_audio_pts = 0.0;
-    for i in 0..total_frames {
-        let t_cap = sim_start + SimDuration::from_secs_f64(i as f64 / fps);
-        let wall = broadcaster_clock.read(t_cap, &mut clock_rng);
-        if let Some(frame) = encoder.next_frame(wall, &mut enc_rng) {
-            let sent = uplink.upload(t_cap + ENCODE_LATENCY, frame.bytes.len());
-            video_in.push(IngestFrame { t_cap, a_in: sent + prop_up, frame });
-        }
-        while next_audio_pts <= i as f64 * 1000.0 / fps {
-            let af = audio.next_frame(&mut enc_rng);
-            let t_a = sim_start + SimDuration::from_secs_f64(next_audio_pts / 1000.0);
-            let sent = uplink.upload(t_a + ENCODE_LATENCY, af.size);
-            audio_in.push((sent + prop_up, af.pts_ms, af.size));
-            next_audio_pts += pscp_media::audio::frame_duration_ms();
-        }
-    }
-
-    // --- gateway: replay from the latest keyframe ingested when data
-    // starts flowing ---
-    let cached: Vec<usize> =
-        video_in.iter().enumerate().filter(|(_, f)| f.a_in <= data_start).map(|(i, _)| i).collect();
-    let start_idx = cached
-        .iter()
-        .rev()
-        .find(|&&i| video_in[i].frame.kind == FrameKind::I)
-        .copied()
-        .unwrap_or_else(|| cached.last().copied().unwrap_or(0));
-
-    // --- wire: media rides the unreliable datagram path from the gateway;
-    // bootstrap, chat and pictures stay on the app's TCP connections (their
-    // own queue — the gateway path is provisioned separately; app-path
-    // losses surface as delay, exactly like the RTMP session). ---
+/// Delivers media as datagrams from the gateway with NAK/ARQ recovery;
+/// bootstrap, chat and pictures stay on the app's TCP connections (their
+/// own queue — the gateway path is provisioned separately; app-path losses
+/// surface as delay, exactly like the RTMP session).
+pub(crate) fn deliver(
+    ctx: &mut Ctx<'_>,
+    c: Connected,
+    media: &Media,
+    trace: &mut pscp_obs::Trace,
+) -> Delivered {
+    let v = ctx.v;
+    let config = v.config;
+    let server = &ctx.ingest;
+    let (rtt, hs_start, data_start, initial_seq, latency) =
+        (c.rtt, c.hs_start, c.data_start, c.initial_seq, c.latency);
+    let faults = &config.faults;
+    let fault_seed = faults.seed ^ ctx.unit_seed;
     let mut capture = Capture::new();
     let flow_srt = capture.open_flow(FlowKind::Srt, format!("srt-{}", server.hostname()));
-    let flow_misc = capture.open_flow(FlowKind::AppMisc, "api.periscope.tv");
-    let flow_chat = capture.open_flow(FlowKind::Chat, "chatman.periscope.tv");
-    let flow_pics =
-        config.chat_on.then(|| capture.open_flow(FlowKind::PictureHttp, "s3.amazonaws.com"));
+    let mut sends = Sends { list: Vec::new(), data: Vec::with_capacity(64 * 1024) };
+    let app = AppFlows::open(&mut capture, &mut sends, &v, media);
     let bottleneck = config.network.bottleneck_bps();
     let one_way_down =
         server.location().propagation_to(&config.network.location) + config.network.access_rtt / 2;
     let mut dglink = DatagramLink::unbounded(bottleneck, one_way_down).with_faults(
         faults,
-        rngs.seed(),
+        ctx.unit_seed,
         "srt/link",
     );
     let mut app_faults =
-        LinkFaults::active(faults).then(|| LinkFaults::new(faults, rngs.seed(), "srt/app"));
+        LinkFaults::active(faults).then(|| LinkFaults::new(faults, ctx.unit_seed, "srt/app"));
     let mut flow_floor: HashMap<usize, SimTime> = HashMap::new();
 
     // Per-(seq, attempt) retransmission fate: a pure hash against the
@@ -293,96 +220,29 @@ pub fn run_traced(
         FaultRng::new(retx_base ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15)).chance(p_retx_loss)
     };
 
-    // --- app-side TCP flows (bootstrap + chat + pictures), same model as
-    // the RTMP session ---
-    struct Send {
-        at: SimTime,
-        flow: usize,
-        start: usize,
-        end: usize,
-    }
-    let mut sends: Vec<Send> = Vec::new();
-    let mut send_data: Vec<u8> = Vec::with_capacity(64 * 1024);
-    let overhead_bytes = pscp_simnet::dist::lognormal(&mut net_rng, (900_000f64).ln(), 0.7)
-        .clamp(150_000.0, 4_000_000.0) as usize;
-    let start = send_data.len();
-    send_data.resize(start + overhead_bytes, 0);
-    sends.push(Send {
-        at: join_at + config.network.access_rtt,
-        flow: flow_misc,
-        start,
-        end: send_data.len(),
-    });
-    let bootstrap_done = join_at
-        + config.network.access_rtt
-        + SimDuration::from_secs_f64(overhead_bytes as f64 * 8.0 / bottleneck);
-    for ev in chat_client::events(broadcast, join_at, join_at + config.watch, config, &mut net_rng)
-    {
-        let (flow, at) = match ev.kind {
-            FlowKind::Chat => (flow_chat, ev.at),
-            FlowKind::PictureHttp => match flow_pics {
-                Some(f) => (f, ev.at.max(bootstrap_done)),
-                None => continue,
-            },
-            _ => continue,
-        };
-        let start = send_data.len();
-        send_data.extend_from_slice(&ev.bytes);
-        sends.push(Send { at, flow, start, end: send_data.len() });
-    }
-    sends.sort_by_key(|s| s.at);
+    app.push_chat(&mut sends, &v, &mut ctx.net_rng);
+    sends.list.sort_by_key(|s| s.at);
     let mtu = config.network.mtu.max(256);
 
     // --- gateway message schedule: video frames interleaved with audio in
     // PTS order, exactly like the RTMP path. Message bodies live in one
     // arena (audio bodies are opaque zero bytes of the right size). ---
-    struct Meta {
-        media_end_s: f64,
-        capture_wall_s: f64,
-    }
-    struct Msg {
-        at: SimTime,
-        start: usize,
-        end: usize,
-        meta: Option<Meta>,
-    }
-    let mut bodies: Vec<u8> = Vec::with_capacity(
-        video_in.iter().map(|f| f.frame.bytes.len()).sum::<usize>()
-            + audio_in.iter().map(|&(_, _, size)| size).sum::<usize>(),
-    );
-    let mut msg_list: Vec<Msg> = Vec::new();
-    let first_pts = video_in.get(start_idx).map(|f| f.frame.pts_ms).unwrap_or(0);
-    let frame_dur_s = 1.0 / fps;
-    let mut ai =
-        audio_in.iter().position(|&(_, pts, _)| pts >= first_pts).unwrap_or(audio_in.len());
-    for f in &video_in[start_idx..] {
-        let send_at = f.a_in.max(data_start) + SERVER_FORWARD;
-        if send_at >= end {
-            break;
+    let mut msgs = Sends {
+        list: Vec::new(),
+        data: Vec::with_capacity(
+            media.video.iter().map(|f| f.frame.bytes.len()).sum::<usize>()
+                + media.audio.iter().map(|a| a.size).sum::<usize>(),
+        ),
+    };
+    media.push_schedule(data_start, &ctx.broadcaster_clock, |pushed| match pushed {
+        Pushed::Audio { at, size, .. } => {
+            msgs.push(at, flow_srt, None, |d| d.resize(d.len() + size, 0))
         }
-        while ai < audio_in.len() && audio_in[ai].1 <= f.frame.pts_ms {
-            let (a_arr, _pts, size) = audio_in[ai];
-            ai += 1;
-            let a_send = a_arr.max(data_start) + SERVER_FORWARD;
-            if a_send >= end {
-                continue;
-            }
-            let start = bodies.len();
-            bodies.resize(start + size, 0);
-            msg_list.push(Msg { at: a_send, start, end: bodies.len(), meta: None });
+        Pushed::Video { at, frame, meta } => {
+            msgs.push(at, flow_srt, Some(meta), |d| d.extend_from_slice(&frame.bytes))
         }
-        let start = bodies.len();
-        bodies.extend_from_slice(&f.frame.bytes);
-        msg_list.push(Msg {
-            at: send_at,
-            start,
-            end: bodies.len(),
-            meta: Some(Meta {
-                media_end_s: (f.frame.pts_ms - first_pts) as f64 / 1000.0 + frame_dur_s,
-                capture_wall_s: broadcaster_clock.read_exact(f.t_cap),
-            }),
-        });
-    }
+    });
+    let (msg_list, bodies) = (&msgs.list, &msgs.data);
 
     // --- transmit + NAK/ARQ ---
     //
@@ -432,6 +292,7 @@ pub fn run_traced(
     // (app segments first), and processing media strictly in time order is
     // what gives sequence numbers their on-the-wire meaning.
     let mut schedule: Vec<(SimTime, WireItem)> = sends
+        .list
         .iter()
         .enumerate()
         .map(|(i, s)| (s.at, WireItem::App(i)))
@@ -441,7 +302,7 @@ pub fn run_traced(
 
     // Handshake capture: the two downstream control packets.
     for (pkt, at) in
-        [(Packet::Control(cookie), hs_start + rtt), (Packet::Control(agreement), data_start)]
+        [(Packet::Control(c.cookie), hs_start + rtt), (Packet::Control(c.agreement), data_start)]
     {
         let start = wire.len();
         srt::encode_packet(&pkt, &mut wire);
@@ -458,8 +319,8 @@ pub fn run_traced(
                 // A reliable app burst: chunks share the serializer with
                 // the media datagrams; losses surface as delay under the
                 // per-flow monotone floor, exactly like the RTMP session.
-                let send = &sends[*si];
-                let payload = &send_data[send.start..send.end];
+                let send = &sends.list[*si];
+                let payload = &sends.data[send.start..send.end];
                 for chunk in payload.chunks(mtu) {
                     let Some(arr) = dglink.send_reliable(send.at, chunk.len()).time() else {
                         continue;
@@ -473,7 +334,7 @@ pub fn run_traced(
                         }
                         None => arr,
                     };
-                    let wall = capture_clock.read(arr, &mut clock_rng);
+                    let wall = ctx.capture_clock.read(arr, &mut ctx.clock_rng);
                     capture.record(send.flow, arr, wall, chunk);
                 }
                 continue;
@@ -605,7 +466,7 @@ pub fn run_traced(
     capture.flows[flow_srt]
         .reserve(records.iter().map(|&(_, s, e)| e - s).sum::<usize>(), records.len());
     for &(at, s, e) in &records {
-        let wall = capture_clock.read(at, &mut clock_rng);
+        let wall = ctx.capture_clock.read(at, &mut ctx.clock_rng);
         capture.record(flow_srt, at, wall, &wire[s..e]);
     }
 
@@ -636,9 +497,7 @@ pub fn run_traced(
         trace.count("fault", "srt_queue_drops", dglink.lost_queue);
     }
     if let Some(lf) = &app_faults {
-        trace.count("fault", "lost_packets", lf.lost);
-        trace.count("fault", "latency_spikes", lf.spiked);
-        trace.count("recovery", "retransmits", lf.lost);
+        record_link_faults(trace, lf);
     }
     if n_data_packets > 0 {
         trace.sketch(
@@ -654,43 +513,13 @@ pub fn run_traced(
         trace.sketch("srt", "retx_queue_pkts", retxq.len() as u64);
     }
 
-    let log = run_playback(join_at, config.watch, config.player_srt, &arrivals);
-    // Join decomposition: handshake (including retry backoffs) until data
-    // starts flowing, then buffer fill until first render. The two child
-    // spans tile [join_at, first_frame] exactly, so they sum to the join
-    // time under the teleport driver's session root.
-    if let Some(j) = log.join_time {
-        let parent = trace.current_span();
-        let first_frame = join_at + j;
-        let handshake_end = data_start.min(first_frame);
-        trace.span(join_at.as_micros(), handshake_end.as_micros(), "srt", "srt.handshake", parent);
-        trace.span(
-            handshake_end.as_micros(),
-            first_frame.as_micros(),
-            "srt",
-            "srt.buffering",
-            parent,
-        );
-    }
-    log.record_events(join_at, trace);
-    crate::session::trace_session_end(trace, (join_at + config.watch).as_micros(), &log, &capture);
-    let meta = PlaybackMetaReport {
-        n_stalls: log.n_stalls(),
-        avg_stall_time_s: log.avg_stall_s(),
-        playback_latency_s: log.mean_latency_s(),
-    };
-    let rendered_fps = crate::rtmp_session::rendered_fps(fps, config.device, &log);
-    SessionOutcome {
-        broadcast_id: broadcast.id,
-        protocol: Protocol::Srt,
-        device: config.device,
-        bandwidth_limit_bps: config.network.tc_limit_bps,
-        player: log,
+    Delivered {
         capture,
-        meta,
-        viewers_at_join: broadcast.viewers_at(join_at),
-        rendered_fps,
+        arrivals,
         server: format!("srt-{}", server.hostname()),
+        // Handshake (including retry backoffs) until data starts flowing,
+        // then buffer fill until first render.
+        phases: vec![(data_start, "srt", "srt.handshake"), (SimTime::MAX, "srt", "srt.buffering")],
     }
 }
 
@@ -698,10 +527,14 @@ pub fn run_traced(
 mod tests {
     use super::*;
     use crate::device::NetworkSetup;
+    use crate::session::{run, SessionConfig, SessionOutcome};
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
-    use pscp_simnet::fault::FaultConfig;
+    use pscp_service::select::Protocol;
+    use pscp_simnet::fault::{FaultConfig, LossConfig};
     use pscp_simnet::GeoPoint;
+    use pscp_simnet::RngFactory;
+    use pscp_workload::broadcast::Broadcast;
     use pscp_workload::broadcast::{BroadcastId, DeviceProfile};
 
     fn test_broadcast(seed: u64) -> Broadcast {
@@ -726,7 +559,7 @@ mod tests {
     fn run_session(seed: u64, config: SessionConfig) -> SessionOutcome {
         let b = test_broadcast(seed);
         let rngs = RngFactory::new(seed).child("session");
-        run(&b, SimTime::from_secs(400), &config, &rngs)
+        run(Protocol::Srt, &b, SimTime::from_secs(400), &config, &rngs)
     }
 
     fn lossy(scale: f64) -> FaultConfig {
@@ -798,13 +631,50 @@ mod tests {
             let b = test_broadcast(seed);
             let rngs = RngFactory::new(seed).child("session");
             rtmp_total +=
-                crate::rtmp_session::run(&b, SimTime::from_secs(400), &cfg, &rngs).stall_ratio();
+                run(Protocol::Rtmp, &b, SimTime::from_secs(400), &cfg, &rngs).stall_ratio();
         }
         assert!(
             srt_total < rtmp_total,
             "srt stall sum {srt_total} should strictly beat rtmp {rtmp_total}"
         );
         assert!(srt_total < 0.02, "srt conceals rather than stalls: {srt_total}");
+    }
+
+    #[test]
+    fn handshake_fallback_records_one_session_start() {
+        // Every datagram is lost, so every handshake attempt fails and the
+        // app falls back to RTMP: one session, started once, as RTMP.
+        let always_lost = LossConfig {
+            p_loss_good: 1.0,
+            p_loss_bad: 1.0,
+            p_good_to_bad: 0.0,
+            p_bad_to_good: 1.0,
+        };
+        let cfg = SessionConfig {
+            faults: FaultConfig { seed: 99, loss: always_lost, ..Default::default() },
+            network: NetworkSetup::finland_limited(2.0),
+            ..Default::default()
+        };
+        let b = test_broadcast(3);
+        let rngs = RngFactory::new(3).child("session");
+        let mut trace = pscp_obs::Trace::new(true);
+        let out = crate::session::run_traced(
+            Protocol::Srt,
+            &b,
+            SimTime::from_secs(400),
+            &cfg,
+            &rngs,
+            &mut trace,
+        );
+        assert_eq!(out.protocol, Protocol::Rtmp);
+        let m = trace.metrics();
+        assert_eq!(m.counter("recovery", "srt_fallbacks"), 1);
+        assert_eq!(m.counter("session", "started"), 1);
+        assert_eq!(m.counter("session", "rtmp"), 1);
+        assert_eq!(m.counter("session", "srt"), 0);
+        assert_eq!(m.counter("shaper", "limited_sessions"), 1);
+        let starts = trace.events().iter().filter(|e| e.name == "session.start").count();
+        assert_eq!(starts, 1);
     }
 
     #[test]

@@ -32,10 +32,8 @@
 //! while output remains byte-identical to a serial run at any thread count.
 
 use crate::device::ViewerDevice;
-use crate::player::run_playback;
 use crate::retry::{classify, RetryClass, RetryPolicy};
-use crate::session::{PlaybackMetaReport, SessionConfig, SessionOutcome};
-use crate::{hls_session, rtmp_session, srt_session};
+use crate::session::{self, SessionConfig, SessionOutcome};
 use pscp_obs::{Observer, PhaseSpan, Trace};
 use pscp_service::select::Protocol;
 use pscp_service::PeriscopeService;
@@ -191,7 +189,11 @@ impl<'a> Teleport<'a> {
                 }
                 if attempt >= policy.max_attempts {
                     trace.count("recovery", "api_exhausted", 1);
-                    return self.dead_outcome(broadcast, join_at, config, access.protocol, trace);
+                    let protocol = config.transport.unwrap_or(access.protocol);
+                    let outcome =
+                        session::run_unreachable(protocol, broadcast, join_at, config, trace);
+                    fold_qoe(trace, broadcast, join_at, join_at, config, &outcome);
+                    return outcome;
                 }
                 trace.count("recovery", "api_retries", 1);
                 let wait_from = join_eff;
@@ -291,11 +293,7 @@ impl<'a> Teleport<'a> {
         }
 
         let delay = join_eff.saturating_since(join_at);
-        let mut outcome = match protocol {
-            Protocol::Rtmp => rtmp_session::run_traced(broadcast, join_eff, config, &rngs, trace),
-            Protocol::Hls => hls_session::run_traced(broadcast, join_eff, config, &rngs, trace),
-            Protocol::Srt => srt_session::run_traced(broadcast, join_eff, config, &rngs, trace),
-        };
+        let mut outcome = session::run_traced(protocol, broadcast, join_eff, config, &rngs, trace);
         if delay > SimDuration::ZERO {
             // The retries happened before the stream view opened; the user's
             // join clock started at the original Teleport tap.
@@ -308,91 +306,8 @@ impl<'a> Teleport<'a> {
         if let Some(j) = outcome.player.join_time {
             trace.span_end(root, (join_at + j).as_micros());
         }
-        // Constant-memory QoE telemetry: fold the headline per-session
-        // numbers into the trace's mergeable sketches (DESIGN.md §11). A
-        // never-joined session charges its whole watch budget as join wait.
-        let join_us = match outcome.player.join_time {
-            Some(j) => j.as_micros(),
-            None => config.watch.as_micros(),
-        };
-        trace.sketch("player", "join_time_us", join_us);
-        trace.sketch("player", "stall_ppm", (outcome.stall_ratio() * 1e6).round() as u64);
-        // Windowed copies for the alerting layer (DESIGN.md §14): the join
-        // observation lands in the minute the join completed, the stall
-        // observation in the minute the session ended, and the per-cell
-        // ring scopes join burn to the broadcast's shard cell.
-        let join_done_us = join_at.as_micros() + join_us;
-        trace.ring("alert", "join_time_us", join_done_us, join_us);
-        trace.ring(
-            "alert",
-            "stall_ppm",
-            (join_eff + config.watch).as_micros(),
-            (outcome.stall_ratio() * 1e6).round() as u64,
-        );
-        let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
-        trace.ring("cell", CELL_KEYS[cell as usize], join_done_us, join_us);
+        fold_qoe(trace, broadcast, join_at, join_eff, config, &outcome);
         outcome
-    }
-
-    /// Outcome of a session whose API bootstrap never succeeded: nothing
-    /// was ever fetched or played, but the attempt still appears in the
-    /// dataset (and its trace counters) as a never-joined session.
-    fn dead_outcome(
-        &self,
-        broadcast: &Broadcast,
-        join_at: SimTime,
-        config: &SessionConfig,
-        protocol: Protocol,
-        trace: &mut Trace,
-    ) -> SessionOutcome {
-        let (proto_name, player_cfg) = match protocol {
-            Protocol::Rtmp => ("rtmp", config.player_rtmp),
-            Protocol::Hls => ("hls", config.player_hls),
-            Protocol::Srt => ("srt", config.player_srt),
-        };
-        crate::session::trace_session_start(
-            trace,
-            proto_name,
-            broadcast.id,
-            broadcast.viewers_at(join_at),
-            join_at.as_micros(),
-            config,
-        );
-        let log = run_playback(join_at, config.watch, player_cfg, &[]);
-        log.record_events(join_at, trace);
-        let capture = pscp_media::capture::Capture::new();
-        crate::session::trace_session_end(
-            trace,
-            (join_at + config.watch).as_micros(),
-            &log,
-            &capture,
-        );
-        let meta = PlaybackMetaReport {
-            n_stalls: log.n_stalls(),
-            avg_stall_time_s: None,
-            playback_latency_s: None,
-        };
-        // Dead sessions still count in the streaming telemetry: the whole
-        // watch budget was spent waiting and playback stalled throughout.
-        trace.sketch("player", "join_time_us", config.watch.as_micros());
-        trace.sketch("player", "stall_ppm", (log.stall_ratio() * 1e6).round() as u64);
-        let end_us = (join_at + config.watch).as_micros();
-        trace.ring("alert", "join_time_us", end_us, config.watch.as_micros());
-        trace.ring("alert", "stall_ppm", end_us, (log.stall_ratio() * 1e6).round() as u64);
-        let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
-        trace.ring("cell", CELL_KEYS[cell as usize], end_us, config.watch.as_micros());
-        SessionOutcome {
-            broadcast_id: broadcast.id,
-            protocol,
-            device: config.device,
-            bandwidth_limit_bps: config.network.tc_limit_bps,
-            player: log,
-            capture,
-            meta,
-            viewers_at_join: broadcast.viewers_at(join_at),
-            rendered_fps: 0.0,
-            server: "unreachable".to_string(),
-        }
     }
 
     /// Generates a whole dataset.
@@ -553,6 +468,37 @@ impl<'a> Teleport<'a> {
         }
         outcomes
     }
+}
+
+/// Constant-memory QoE telemetry: folds a finished session's headline
+/// numbers into the trace's mergeable sketches (DESIGN.md §11) and their
+/// windowed copies for the alerting layer (DESIGN.md §14). A never-joined
+/// session charges its whole watch budget as join wait. The join
+/// observation lands in the minute the join completed (counted from the
+/// Teleport tap at `join_at`), the stall observation in the minute the
+/// session ended (a watch after `join_eff`, the join retries and outages
+/// left), and the per-cell ring scopes join burn to the broadcast's shard
+/// cell.
+fn fold_qoe(
+    trace: &mut Trace,
+    broadcast: &Broadcast,
+    join_at: SimTime,
+    join_eff: SimTime,
+    config: &SessionConfig,
+    outcome: &SessionOutcome,
+) {
+    let join_us = match outcome.player.join_time {
+        Some(j) => j.as_micros(),
+        None => config.watch.as_micros(),
+    };
+    let stall_ppm = (outcome.stall_ratio() * 1e6).round() as u64;
+    trace.sketch("player", "join_time_us", join_us);
+    trace.sketch("player", "stall_ppm", stall_ppm);
+    let join_done_us = join_at.as_micros() + join_us;
+    trace.ring("alert", "join_time_us", join_done_us, join_us);
+    trace.ring("alert", "stall_ppm", (join_eff + config.watch).as_micros(), stall_ppm);
+    let cell = pscp_simnet::geo::GeoRect::quad_cell(&broadcast.location, CELL_DEPTH);
+    trace.ring("cell", CELL_KEYS[cell as usize], join_done_us, join_us);
 }
 
 #[cfg(test)]

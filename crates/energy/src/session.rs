@@ -56,10 +56,11 @@ pub fn session_energy_j(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_client::rtmp_session;
+    use pscp_client::session;
     use pscp_client::session::SessionConfig;
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
+    use pscp_service::select::Protocol;
     use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
     use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
 
@@ -81,7 +82,7 @@ mod tests {
             target_bitrate_bps: 300_000.0,
         };
         let cfg = SessionConfig { chat_on, ..Default::default() };
-        rtmp_session::run(&b, SimTime::from_secs(300), &cfg, &RngFactory::new(77))
+        session::run(Protocol::Rtmp, &b, SimTime::from_secs(300), &cfg, &RngFactory::new(77))
     }
 
     #[test]

@@ -59,10 +59,11 @@ pub fn delivery_latency_s(outcome: &SessionOutcome) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscp_client::session;
     use pscp_client::session::SessionConfig;
-    use pscp_client::{hls_session, rtmp_session};
     use pscp_media::audio::AudioBitrate;
     use pscp_media::content::ContentClass;
+    use pscp_service::select::Protocol;
     use pscp_simnet::{GeoPoint, RngFactory, SimDuration, SimTime};
     use pscp_workload::broadcast::{Broadcast, BroadcastId, DeviceProfile};
 
@@ -87,7 +88,8 @@ mod tests {
 
     #[test]
     fn rtmp_delivery_sub_second() {
-        let out = rtmp_session::run(
+        let out = session::run(
+            Protocol::Rtmp,
             &broadcast(10.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
@@ -99,7 +101,8 @@ mod tests {
 
     #[test]
     fn hls_delivery_seconds() {
-        let out = hls_session::run(
+        let out = session::run(
+            Protocol::Hls,
             &broadcast(500.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
@@ -111,7 +114,8 @@ mod tests {
 
     #[test]
     fn strip_preserves_total_minus_handshake() {
-        let out = rtmp_session::run(
+        let out = session::run(
+            Protocol::Rtmp,
             &broadcast(10.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
@@ -124,7 +128,8 @@ mod tests {
 
     #[test]
     fn analyze_session_reports_video_quality() {
-        let out = rtmp_session::run(
+        let out = session::run(
+            Protocol::Rtmp,
             &broadcast(10.0),
             SimTime::from_secs(300),
             &SessionConfig::default(),
