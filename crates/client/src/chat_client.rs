@@ -88,8 +88,8 @@ pub fn events(
                 continue;
             }
             cached.insert(pic.url.clone());
-            let resp = Response::ok_bytes("image/jpeg", vec![0xD8; pic.bytes]);
-            out.push(ChatSend { at: msg.at, kind: FlowKind::PictureHttp, bytes: resp.encode() });
+            let bytes = picture_response(pic.bytes);
+            out.push(ChatSend { at: msg.at, kind: FlowKind::PictureHttp, bytes });
         }
     }
     // Hearts: tiny batched pushes on the same WebSocket (§3's emoticons).
@@ -103,6 +103,14 @@ pub fn events(
     // too for the dedicated-link path.
     out.sort_by_key(|e| e.at);
     out
+}
+
+/// Wire bytes of a profile-picture download with an `n`-byte JPEG body,
+/// built in place in one buffer.
+fn picture_response(n: usize) -> Vec<u8> {
+    let mut bytes = Response::ok_bytes("image/jpeg", Vec::new()).encode_head(n);
+    bytes.resize(bytes.len() + n, 0xD8);
+    bytes
 }
 
 /// Plays the [`events`] through a dedicated `link` and records them into
@@ -251,6 +259,14 @@ mod tests {
             assert!(w[1].at >= w[0].at);
         }
         assert!(sends.iter().any(|s| s.kind == FlowKind::PictureHttp));
+    }
+
+    #[test]
+    fn picture_response_matches_full_encoding() {
+        for n in [0, 1, 1500, 40_000] {
+            let full = Response::ok_bytes("image/jpeg", vec![0xD8; n]).encode();
+            assert_eq!(picture_response(n), full, "n={n}");
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::player::MediaArrival;
 use crate::retry::RetryPolicy;
 use crate::session::{record_link_faults, Ctx, Delivered, IngestFrame, Media, Viewing};
 use pscp_media::capture::{Capture, FlowKind};
-use pscp_media::ts::segment_video_frames;
 use pscp_proto::http::Response;
 use pscp_service::cdn::{self, CdnPop};
 use pscp_service::segmenter::{Segmenter, SegmenterConfig};
@@ -214,8 +213,7 @@ pub(crate) fn deliver(
             now += POLL.max(rtt);
             continue;
         }
-        let uri = format!("seg_{want}.ts");
-        let Some(segment) = segmenter.segment_by_uri(&uri, now) else {
+        let Some(segment) = segmenter.segment(want, now) else {
             // Advertised but not yet uploaded to the POP: brief wait.
             now += POLL;
             continue;
@@ -238,8 +236,9 @@ pub(crate) fn deliver(
             }
         }
         let fetch_started = now;
-        let resp = Response::ok_bytes("video/mp2t", segment.bytes.clone());
-        let body = resp.encode();
+        let mut body =
+            Response::ok_bytes("video/mp2t", Vec::new()).encode_head(segment.bytes.len());
+        body.extend_from_slice(&segment.bytes);
         let schedule = tcp.transfer(now, body.len(), &mut cwnd, fetched == 0);
         // Record the response bytes sliced along the arrival schedule.
         let mut off = 0usize;
@@ -260,10 +259,8 @@ pub(crate) fn deliver(
         let completion = schedule.completion + extra_total;
         media_end_s += segment.duration_s;
         // Latency anchor: the capture wall time of the segment's last frame.
-        let last_frame_wall = segment_video_frames(&segment.bytes)
-            .ok()
-            .and_then(|frames| frames.last().map(|f| f.pts_ms))
-            .and_then(|pts| capture_wall_by_pts.get(&pts).copied());
+        let last_frame_wall =
+            segment.last_video_pts.and_then(|pts| capture_wall_by_pts.get(&pts).copied());
         arrivals.push(MediaArrival {
             at: completion,
             media_end_s,

@@ -117,11 +117,7 @@ impl FramePayload {
         }
         // Deterministic filler derived from pts, so captures are
         // reproducible byte-for-byte.
-        let mut x = self.pts_ms.wrapping_mul(2654435761);
-        while out.len() < end {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            out.push((x >> 24) as u8);
-        }
+        fill(out, filler_seed(self.pts_ms), end - out.len());
     }
 
     /// Decodes a payload (accepts trailing filler by construction).
@@ -152,6 +148,84 @@ impl FramePayload {
         };
         Ok(FramePayload { kind, qp, width, height, pts_ms, ntp_s, size: bytes.len() })
     }
+}
+
+/// The filler is the top byte of each step of the LCG
+/// `x ← x·LCG_A + LCG_C (mod 2³²)`, seeded from the frame's pts.
+const LCG_A: u32 = 1664525;
+const LCG_C: u32 = 1013904223;
+/// Filler bytes generated per block: one independent LCG lane each.
+const LANES: usize = 32;
+
+/// `(a, c)` such that `k` LCG steps take `x` to `a·x + c`.
+const fn lcg_jump(k: usize) -> (u32, u32) {
+    let (mut a, mut c) = (1u32, 0u32);
+    let mut i = 0;
+    while i < k {
+        a = a.wrapping_mul(LCG_A);
+        c = c.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        i += 1;
+    }
+    (a, c)
+}
+
+/// One block's worth of steps: lane `i` holds `x_{i+1}`, then `x_{i+33}`, ...
+const JUMP: (u32, u32) = lcg_jump(LANES);
+
+fn filler_seed(pts_ms: u32) -> u32 {
+    pts_ms.wrapping_mul(2654435761)
+}
+
+/// Appends `n` filler bytes from `seed` to `out`: byte `k` is the top byte
+/// of `x_{k+1}`, where `x_0 = seed`.
+fn fill(out: &mut Vec<u8>, seed: u32, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `fill_avx2` only requires AVX2, which the CPU was just
+        // detected to support.
+        return unsafe { fill_avx2(out, seed, n) };
+    }
+    fill_portable(out, seed, n)
+}
+
+/// [`fill_lanes`] compiled for AVX2: a block's 32 lane steps become four
+/// 8-wide multiply-adds.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_avx2(out: &mut Vec<u8>, seed: u32, n: usize) {
+    fill_lanes(out, seed, n)
+}
+
+/// [`fill_lanes`] for the compilation target's baseline features.
+fn fill_portable(out: &mut Vec<u8>, seed: u32, n: usize) {
+    fill_lanes(out, seed, n)
+}
+
+/// Generates the filler [`LANES`] bytes at a time: lane `i` starts at
+/// `x_{i+1}` and jumps [`LANES`] steps per block, so each block is the next
+/// [`LANES`] bytes of the serial sequence.
+#[inline(always)]
+fn fill_lanes(out: &mut Vec<u8>, seed: u32, n: usize) {
+    let mut lanes = [0u32; LANES];
+    let mut x = seed;
+    for lane in &mut lanes {
+        x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        *lane = x;
+    }
+    out.reserve(n);
+    let mut block = [0u8; LANES];
+    for _ in 0..n / LANES {
+        for (b, lane) in block.iter_mut().zip(&mut lanes) {
+            *b = (*lane >> 24) as u8;
+            *lane = lane.wrapping_mul(JUMP.0).wrapping_add(JUMP.1);
+        }
+        out.extend_from_slice(&block);
+    }
+    out.extend(lanes[..n % LANES].iter().map(|lane| (lane >> 24) as u8));
 }
 
 #[cfg(test)]
@@ -219,6 +293,90 @@ mod tests {
         let a = payload(FrameKind::P, 300, None).encode();
         let b = payload(FrameKind::P, 300, None).encode();
         assert_eq!(a, b);
+    }
+
+    /// The serial generator `fill` must reproduce byte for byte.
+    fn fill_reference(out: &mut Vec<u8>, seed: u32, n: usize) {
+        let end = out.len() + n;
+        let mut x = seed;
+        while out.len() < end {
+            x = x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+            out.push((x >> 24) as u8);
+        }
+    }
+
+    /// FNV-1a 64 of the fixed frame set in `filler_digest_is_pinned`, as
+    /// the serial generator wrote it.
+    const FILLER_DIGEST: u64 = 0xf1e2_869c_0517_d12d;
+
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn lcg_jump_composes_steps() {
+        let step = |x: u32| x.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        assert_eq!(lcg_jump(1), (LCG_A, LCG_C));
+        for x in [0u32, 1, 0xdead_beef, u32::MAX] {
+            let (a, c) = JUMP;
+            assert_eq!(a.wrapping_mul(x).wrapping_add(c), (0..LANES).fold(x, |x, _| step(x)));
+        }
+    }
+
+    #[test]
+    fn filler_paths_match_the_serial_reference() {
+        use pscp_simnet::rng::Rng;
+        const MAX: usize = 4096;
+        // Every size for the edge pts; for 200 random pts (a debug build
+        // cannot afford every size), every tail and block boundary up to
+        // two blocks, the largest sizes and random ones.
+        let mut cases: Vec<(u32, Vec<usize>)> =
+            [0u32, 1, 33, 1 << 16, u32::MAX].map(|pts| (pts, (0..=MAX).collect())).into();
+        let mut rng = pscp_simnet::RngFactory::new(13).stream("filler-pts");
+        for _ in 0..200 {
+            let mut sizes: Vec<usize> = (0..=2 * LANES).chain([MAX - 1, MAX]).collect();
+            sizes.extend((0..8).map(|_| rng.gen::<usize>() % (MAX + 1)));
+            cases.push((rng.gen(), sizes));
+        }
+        let paths =
+            [("dispatched", fill as fn(&mut Vec<u8>, u32, usize)), ("portable", fill_portable)];
+        for (pts, sizes) in &cases {
+            let seed = filler_seed(*pts);
+            for header in [HEADER_LEN, HEADER_LEN_NTP] {
+                let mut want = vec![0xEE; header];
+                fill_reference(&mut want, seed, MAX);
+                for (name, path) in paths {
+                    for &n in sizes {
+                        let mut got = want[..header].to_vec();
+                        path(&mut got, seed, n);
+                        assert!(
+                            got[..] == want[..header + n],
+                            "{name} filler differs: pts={pts} header={header} n={n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filler_digest_is_pinned() {
+        // Recorded from the serial generator: a generator change that
+        // moves any filler byte fails here, though no figure reads them.
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for i in 0..120u32 {
+            let p = FramePayload {
+                kind: [FrameKind::I, FrameKind::P, FrameKind::B][i as usize % 3],
+                qp: (i % 52) as u8,
+                width: 320,
+                height: 568,
+                pts_ms: i.wrapping_mul(33_367).wrapping_add(i << 28),
+                ntp_s: (i % 4 == 0).then_some(1.4e9 + i as f64 * 0.033),
+                size: HEADER_LEN_NTP + (i as usize * 7_919) % 9_000,
+            };
+            hash = fnv1a(hash, &p.encode());
+        }
+        assert_eq!(hash, FILLER_DIGEST, "got {hash:#018x}");
     }
 
     #[test]

@@ -143,12 +143,22 @@ impl Response {
 
     /// Serializes to wire bytes (adds content-length).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = self.encode_head(self.body.len());
+        out.extend_from_slice(&self.body);
+        out
+    }
+
+    /// Serializes the status line and headers for a `body_len`-byte body,
+    /// with room reserved for it: appending the body yields what
+    /// [`Response::encode`] would with that body, without building the
+    /// body as a separate buffer first.
+    pub fn encode_head(&self, body_len: usize) -> Vec<u8> {
         let mut out = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason()).into_bytes();
         for (n, v) in &self.headers {
             out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
         }
-        out.extend_from_slice(format!("content-length: {}\r\n\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(&self.body);
+        out.extend_from_slice(format!("content-length: {body_len}\r\n\r\n").as_bytes());
+        out.reserve(body_len);
         out
     }
 

@@ -27,6 +27,9 @@ pub struct Segment {
     /// Instant the segment became fetchable from the CDN (last frame's
     /// arrival + packaging delay).
     pub available_at: SimTime,
+    /// Pts of the segment's last video frame in mux order (`None` for an
+    /// audio-only segment): the HLS client's latency anchor.
+    pub last_video_pts: Option<u32>,
 }
 
 impl Segment {
@@ -146,11 +149,15 @@ impl Segmenter {
         let tail_ms =
             if n_video >= 2 { span_ms / (n_video - 1) as f64 } else { self.last_pts_delta_ms };
         let duration_s = (span_ms + tail_ms) / 1000.0;
+        let last_video_pts = units.iter().rev().find_map(|u| match u {
+            TsUnit::Video { pts_ms, .. } => Some(*pts_ms),
+            TsUnit::Audio { .. } => None,
+        });
         let bytes = self.muxer.mux_segment(&units);
         let seq = self.next_seq;
         self.next_seq += 1;
         let available_at = arrival + self.config.packaging_delay;
-        let segment = Segment { seq, bytes, duration_s, available_at };
+        let segment = Segment { seq, bytes, duration_s, available_at, last_video_pts };
         self.playlist.push_segment(
             SegmentEntry { duration_s, uri: segment.uri() },
             self.config.playlist_window,
@@ -182,9 +189,12 @@ impl Segmenter {
         pl
     }
 
-    /// Fetches a segment body by URI, if available at `now`.
-    pub fn segment_by_uri(&self, uri: &str, now: SimTime) -> Option<&Segment> {
-        self.finished.iter().find(|s| s.uri() == uri && s.available_at <= now)
+    /// Fetches segment `seq` (the playlist's media sequence number), if
+    /// available at `now`.
+    pub fn segment(&self, seq: u64, now: SimTime) -> Option<&Segment> {
+        // Sequence numbers count up from 0 in cut order.
+        let segment = self.finished.get(usize::try_from(seq).ok()?)?;
+        (segment.available_at <= now).then_some(segment)
     }
 }
 
@@ -226,6 +236,7 @@ mod tests {
         for s in seg.segments() {
             let frames = pscp_media::ts::segment_video_frames(&s.bytes).unwrap();
             assert!(!frames.is_empty());
+            assert_eq!(s.last_video_pts, frames.last().map(|f| f.pts_ms));
             // Segments start on an I frame.
             assert_eq!(frames[0].kind, pscp_media::bitstream::FrameKind::I);
         }
@@ -240,8 +251,8 @@ mod tests {
         let t = first.available_at.as_secs_f64();
         assert!((4.0..5.2).contains(&t), "available_at={t}");
         // Not fetchable before availability.
-        assert!(seg.segment_by_uri(&first.uri(), SimTime::from_secs(3)).is_none());
-        assert!(seg.segment_by_uri(&first.uri(), first.available_at).is_some());
+        assert!(seg.segment(first.seq, SimTime::from_secs(3)).is_none());
+        assert!(seg.segment(first.seq, first.available_at).is_some());
     }
 
     #[test]

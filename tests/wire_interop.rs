@@ -118,8 +118,9 @@ fn playlist_roundtrip() {
     let playlist_text = seg.playlist_at(now).render();
     let parsed = MediaPlaylist::parse(&playlist_text).unwrap();
     assert!(!parsed.segments.is_empty());
-    for entry in &parsed.segments {
-        let s = seg.segment_by_uri(&entry.uri, now).expect("advertised segment fetchable");
+    for (seq, entry) in (parsed.media_sequence..).zip(&parsed.segments) {
+        let s = seg.segment(seq, now).expect("advertised segment fetchable");
+        assert_eq!(s.uri(), entry.uri);
         // And the fetched segment demuxes.
         assert!(!demux_segment(&s.bytes).unwrap().is_empty());
     }
